@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import reduction as red
 from . import variational as va
-from .config import COMMANDS, ExperimentConfig, build_domain, build_map, build_target, default_workers, validate
+from .config import COMMANDS, ExperimentConfig, build_domain, build_map, build_target, validate
 from .errors import (
     CapabilityError,
     ChartDomainError,
@@ -184,8 +184,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=list(COMMANDS) + ["validate"])
     parser.add_argument("--config", required=True, help="path to a JSON experiment configuration")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count (default: POLYHARM_WORKERS or 1)")
     parser.add_argument("--out", default=None, help="artifact output path (default: stdout)")
     args = parser.parse_args(argv)
 
@@ -194,7 +192,6 @@ def main(argv=None) -> int:
         if args.command != "validate" and cfg.command != args.command:
             raise ConfigurationError(
                 f"command line says {args.command!r} but the config says {cfg.command!r}")
-        cfg.workers = args.workers if args.workers is not None else default_workers()
         if args.command == "validate":
             diags = validate(cfg)
             for d in diags:

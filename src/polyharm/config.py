@@ -8,7 +8,6 @@ hash identically.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -169,11 +168,6 @@ def build_map(cfg: ExperimentConfig, dom, tgt, which: str = "map") -> GridMap:
         raise ConfigurationError("config needs a nonempty grid_shape")
     return GridMap.from_exprs(dom, tgt, cfg.grid_shape, exprs,
                               eval_mode=cfg.eval_mode, fd_order=cfg.fd_order)
-
-
-def default_workers() -> int:
-    env = os.environ.get("POLYHARM_WORKERS")
-    return max(1, int(env)) if env else 1
 
 
 # ---------------------------------------------------------------------------

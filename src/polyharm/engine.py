@@ -98,10 +98,6 @@ class MapEngine:
         return self._compose_nested(self.tgt.s_tensor_exprs)
 
     @functools.cached_property
-    def c_tensor_c(self):
-        return self._compose_nested(self.tgt.c_tensor_exprs)
-
-    @functools.cached_property
     def e_tensor_c(self):
         return self._compose_nested(self.tgt.e_tensor_exprs)
 
@@ -112,10 +108,6 @@ class MapEngine:
     @functools.cached_property
     def nabla_riemann_c(self):
         return self._compose_nested(self.tgt.nabla_riemann_exprs)
-
-    @functools.cached_property
-    def h_c(self):
-        return self._compose_nested(self.tgt.metric_exprs)
 
     # -- first order calculus --------------------------------------------------
 
@@ -202,34 +194,6 @@ class MapEngine:
                     for gm in range(self.n):
                         if self.gamma_c[a][b][gm] != 0:
                             out[a][i] += self.gamma_c[a][b][gm] * self.dphi[b][i] * sec[gm]
-        return out
-
-    def rough_lap(self, sec):
-        """Section Laplacian, written out literally:
-
-        (lapbar sigma)^a = lap(sigma^a) - 2 g^{ij} d_j sigma^t dphi^b_i Gamma^a_{bt}
-            + sigma^t [ lap(phi^b) Gamma^a_{bt} - g^{ij} dphi^b_j dphi^w_i S^a_{bwt} ].
-        """
-        dsec = self.grad(sec)
-        out = []
-        for a in range(self.n):
-            e = self.lap(sec[a])
-            for i, j, gij in self.trace_pairs():
-                for t in range(self.n):
-                    for b in range(self.n):
-                        if self.gamma_c[a][b][t] != 0:
-                            e -= 2 * gij * dsec[t][j] * self.dphi[b][i] * self.gamma_c[a][b][t]
-            for t in range(self.n):
-                coef = sp.S.Zero
-                for b in range(self.n):
-                    if self.gamma_c[a][b][t] != 0:
-                        coef += self.lap_phi[b] * self.gamma_c[a][b][t]
-                    for w in range(self.n):
-                        if self.s_tensor_c[a][b][w][t] != 0:
-                            for i, j, gij in self.trace_pairs():
-                                coef -= gij * self.dphi[b][j] * self.dphi[w][i] * self.s_tensor_c[a][b][w][t]
-                e += sec[t] * coef
-            out.append(self._norm(e))
         return out
 
     # -- the A functional and the tower -----------------------------------------
@@ -469,17 +433,6 @@ class MapEngine:
         fk = self.fk_literal(k)
         return [self._norm(self.lap(u[k - 2][al]) - fk[al]) for al in range(self.n)]
 
-    def bitension_reference(self):
-        """Independent bitension: lapbar tau + Sum_j R(dphi_j, tau) dphi_j."""
-        lb = self.rough_lap(self.tension)
-        out = [sp.S.Zero] * self.n
-        for i, j, gij in self.trace_pairs():
-            Xi = [self.dphi[b][i] for b in range(self.n)]
-            term = self.curv_apply(Xi, self.tension, [self.dphi[d][j] for d in range(self.n)])
-            for a in range(self.n):
-                out[a] += gij * term[a]
-        return [self._norm(lb[a] + out[a]) for a in range(self.n)]
-
     # -- fourth-order curvature corrections (ES-4) -----------------------------------
 
     def _require_es4(self):
@@ -718,26 +671,18 @@ class MapEngine:
 
     def lapbar_omega0_rough(self):
         """lapbar Omega_0 via the section-Laplacian formula applied to the
-        Omega_0 components (the 'path (a)' evaluation)."""
-        return self.rough_lap(self.omega0)
+        Omega_0 components (the 'path (a)' evaluation): lap + A(., grad .)."""
+        sec = self.omega0
+        return [self._norm(self.lap(e) + a) for e, a in zip(sec, self.a_term(sec, self.grad(sec)))]
 
     def hat_tau4(self, lapbar_omega0=None):
         """hat tau_4 = -1/2 (2 xi_1 + 2 d* Omega_1 + lapbar Omega_0 + Tr R(dphi, Omega_0) dphi)."""
         self._require_es4()
         lo = lapbar_omega0 if lapbar_omega0 is not None else self.lapbar_omega0_rough()
-        tr = self.trace_R_dphi_on(self.omega0)
+        # Tr R(dphi, Omega_0) dphi = -Sum_j R(Omega_0, dphi_j) dphi_j (R antisymmetric)
+        tr = self.trace_R_dphi(self.omega0)
         core = self.two_xi1_plus_two_dstar_omega1
-        return [self._norm(-(core[a] + lo[a] + tr[a]) / 2) for a in range(self.n)]
-
-    def trace_R_dphi_on(self, sec):
-        """Sum_i R(dphi_i, sec) dphi_i, g-traced."""
-        out = [sp.S.Zero] * self.n
-        for i, j, gij in self.trace_pairs():
-            Xi = [self.dphi[b][i] for b in range(self.n)]
-            term = self.curv_apply(Xi, sec, [self.dphi[d][j] for d in range(self.n)])
-            for a in range(self.n):
-                out[a] += gij * term[a]
-        return out
+        return [self._norm(-(core[a] + lo[a] - tr[a]) / 2) for a in range(self.n)]
 
     # -- Weitzenboeck residual --------------------------------------------------------
 

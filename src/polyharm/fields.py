@@ -233,6 +233,47 @@ def grid_partial(gmap: GridMap, arr: np.ndarray, axis: int) -> np.ndarray:
     return stencils.diff1(arr, axis, gmap.spacings[axis], gmap.fd_order)
 
 
+def grid_partials(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
+    """First partials of every component of a periodic array: shape
+    ``F + grid`` to ``F + (m,) + grid``."""
+    gmap.require_fd_grid()
+    lead = arr.ndim - gmap.dom.dim
+    out = np.empty(arr.shape[:lead] + (gmap.dom.dim,) + arr.shape[lead:])
+    for i, h in enumerate(gmap.spacings):
+        out[(Ellipsis, i) + (slice(None),) * gmap.dom.dim] = stencils.diff1(arr, lead + i, h, gmap.fd_order)
+    return out
+
+
+def grid_laplacians(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
+    """Domain Laplace-Beltrami (geometer's sign) of every component of a
+    periodic array of shape ``F + grid``; g^{-1} and the domain Christoffels
+    are evaluated once for all components."""
+    gmap.require_fd_grid()
+    mesh = gmap.mesh
+    hs = gmap.spacings
+    m = gmap.dom.dim
+    lead = arr.ndim - m
+    ginv = gmap.dom.metric_inv(*mesh)
+    gam = gmap.dom.christoffel(*mesh)
+    out = np.zeros_like(arr)
+    for i in range(m):
+        for j in range(m):
+            gij = ginv[i, j]
+            if np.all(gij == 0):
+                continue
+            out -= gij * stencils.partial2(arr, lead + i, lead + j, hs[i], hs[j], gmap.fd_order)
+    for k in range(m):
+        coef = np.einsum("ij...,ij...->...", ginv, gam[k])
+        if np.any(coef != 0):
+            out += coef * stencils.diff1(arr, lead + k, hs[k], gmap.fd_order)
+    return out
+
+
+def scalar_laplacian(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
+    """Domain Laplace-Beltrami of one periodic scalar grid, geometer's sign."""
+    return grid_laplacians(gmap, arr)
+
+
 def dphi_values(gmap: GridMap) -> np.ndarray:
     """dphi per node through the mode-appropriate route."""
     if gmap.eval_mode == "analytic_jet":
@@ -242,13 +283,7 @@ def dphi_values(gmap: GridMap) -> np.ndarray:
 
 def map_partials(gmap: GridMap) -> np.ndarray:
     """dphi^a_i including the winding slope: shape (n, m) + grid."""
-    n, m = gmap.tgt.dim, gmap.dom.dim
-    per = gmap.periodic_values
-    out = np.empty((n, m) + gmap.grid_shape)
-    for a in range(n):
-        for i in range(m):
-            out[a, i] = grid_partial(gmap, per[a], i) + gmap.winding[a, i]
-    return out
+    return grid_partials(gmap, gmap.periodic_values) + gmap.winding[(...,) + (None,) * gmap.dom.dim]
 
 
 def map_second_partials(gmap: GridMap) -> np.ndarray:
@@ -266,33 +301,9 @@ def map_second_partials(gmap: GridMap) -> np.ndarray:
     return out
 
 
-def scalar_laplacian(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
-    """Domain Laplace-Beltrami of one periodic scalar grid, geometer's sign."""
-    gmap.require_fd_grid()
-    mesh = gmap.mesh
-    hs = gmap.spacings
-    m = gmap.dom.dim
-    ginv = gmap.dom.metric_inv(*mesh)
-    gam = gmap.dom.christoffel(*mesh)
-    out = np.zeros_like(arr)
-    for i in range(m):
-        for j in range(m):
-            gij = ginv[i, j]
-            if np.all(gij == 0):
-                continue
-            out -= gij * stencils.partial2(arr, i, j, hs[i], hs[j], gmap.fd_order)
-    for k in range(m):
-        coef = np.einsum("ij...,ij...->...", ginv, gam[k])
-        if np.any(coef != 0):
-            out += coef * stencils.diff1(arr, k, hs[k], gmap.fd_order)
-    return out
-
-
 def map_laplacian(gmap: GridMap) -> np.ndarray:
     """lap phi^a; the winding contributes only through the first-order term."""
-    n = gmap.tgt.dim
-    per = gmap.periodic_values
-    out = np.stack([scalar_laplacian(gmap, per[a]) for a in range(n)])
+    out = grid_laplacians(gmap, gmap.periodic_values)
     if np.any(gmap.winding != 0.0):
         mesh = gmap.mesh
         ginv = gmap.dom.metric_inv(*mesh)
@@ -300,9 +311,46 @@ def map_laplacian(gmap: GridMap) -> np.ndarray:
         for k in range(gmap.dom.dim):
             coef = np.einsum("ij...,ij...->...", ginv, gam[k])
             if np.any(coef != 0):
-                for a in range(n):
+                for a in range(gmap.tgt.dim):
                     out[a] += coef * gmap.winding[a, k]
     return out
+
+
+# ---------------------------------------------------------------------------
+# node-wise kernels (any trailing node shape)
+# ---------------------------------------------------------------------------
+
+
+def gamma_trace(ginv, gam, d1) -> np.ndarray:
+    """g^{ij} Gamma^a_{tb} dphi^t_i dphi^b_j."""
+    return np.einsum("ij...,atb...,ti...,bj...->a...", ginv, gam, d1, d1)
+
+
+def covd_values(v_vals, gam, d1, u_vals) -> np.ndarray:
+    """(covd_i u)^a = v^a_i + Gamma^a_{bg} dphi^b_i u^g."""
+    return v_vals + np.einsum("abg...,bi...,g...->ai...", gam, d1, u_vals)
+
+
+def a_term_values(eta, xi, ginv, d1, lap_phi, gam, s_t) -> np.ndarray:
+    """Numeric A^a(eta, xi):  -2 g^{ij} xi^t_i dphi^b_j Gamma^a_{bt}
+    + eta^t [ lap(phi^b) Gamma^a_{bt} - g^{ij} dphi^b_j dphi^w_i S^a_{bwt} ]."""
+    out = -2.0 * np.einsum("ij...,ti...,bj...,abt...->a...", ginv, xi, d1, gam)
+    out += np.einsum("t...,b...,abt...->a...", eta, lap_phi, gam)
+    out -= np.einsum("t...,ij...,bj...,wi...,abwt...->a...", eta, ginv, d1, d1, s_t)
+    return out
+
+
+def grid_a_data(gmap: GridMap) -> tuple:
+    """The node arrays the grid A-term reads: g^{-1}, dphi, lap phi, Gamma, S."""
+    return (gmap.dom.metric_inv(*gmap.mesh), map_partials(gmap), map_laplacian(gmap),
+            gmap.tgt.christoffel(*gmap.values), gmap.tgt.s_tensor(*gmap.values))
+
+
+def grid_a_term(gmap: GridMap, sec: np.ndarray, data: tuple):
+    """Stencil partials xi = d sec and A(sec, xi), the tower step below the
+    Laplacian; ``data`` is ``grid_a_data(gmap)``."""
+    xi = grid_partials(gmap, sec)
+    return xi, a_term_values(sec, xi, *data)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +391,7 @@ def tension(gmap: GridMap) -> BundleSection:
     lap = map_laplacian(gmap)
     ginv = gmap.dom.metric_inv(*gmap.mesh)
     gam_tgt = gmap.tgt.christoffel(*gmap.values)
-    vals = -lap + np.einsum("ij...,atb...,ti...,bj...->a...", ginv, gam_tgt, d1, d1)
-    return BundleSection(gmap, vals)
+    return BundleSection(gmap, -lap + gamma_trace(ginv, gam_tgt, d1))
 
 
 def covariant_derivative(sigma: BundleSection) -> VGrid:
@@ -354,11 +401,8 @@ def covariant_derivative(sigma: BundleSection) -> VGrid:
         eng = gmap.engine
         exprs = eng.covd(sigma.exprs)
         return VGrid(gmap, gmap.eval_exprs(exprs), exprs=exprs)
-    d1 = map_partials(gmap)
-    dsig = np.stack([np.stack([grid_partial(gmap, sigma.values[a], i) for i in range(gmap.dom.dim)])
-                     for a in range(gmap.tgt.dim)])
-    gam_tgt = gmap.tgt.christoffel(*gmap.values)
-    vals = dsig + np.einsum("abg...,bi...,g...->ai...", gam_tgt, d1, sigma.values)
+    vals = covd_values(grid_partials(gmap, sigma.values), gmap.tgt.christoffel(*gmap.values),
+                       map_partials(gmap), sigma.values)
     return VGrid(gmap, vals)
 
 
@@ -371,21 +415,11 @@ def rough_laplacian(sigma: BundleSection) -> BundleSection:
     gmap = sigma.base
     if gmap.eval_mode == "analytic_jet" and sigma.exprs is not None:
         eng = gmap.engine
-        exprs = eng.rough_lap(sigma.exprs)
+        a_exprs = eng.a_term(sigma.exprs, eng.grad(sigma.exprs))
+        exprs = [eng._norm(eng.lap(s) + a) for s, a in zip(sigma.exprs, a_exprs)]
         return BundleSection(gmap, gmap.eval_exprs(exprs), exprs=exprs)
-    m, n = gmap.dom.dim, gmap.tgt.dim
-    d1 = map_partials(gmap)
-    lap_phi = map_laplacian(gmap)
-    ginv = gmap.dom.metric_inv(*gmap.mesh)
-    gam = gmap.tgt.christoffel(*gmap.values)
-    s_t = gmap.tgt.s_tensor(*gmap.values)
-    dsig = np.stack([np.stack([grid_partial(gmap, sigma.values[a], i) for i in range(m)]) for a in range(n)])
-    lap_sig = np.stack([scalar_laplacian(gmap, sigma.values[a]) for a in range(n)])
-    out = lap_sig
-    out -= 2.0 * np.einsum("ij...,tj...,bi...,abt...->a...", ginv, dsig, d1, gam)
-    out += np.einsum("t...,b...,abt...->a...", sigma.values, lap_phi, gam)
-    out -= np.einsum("t...,ij...,bj...,wi...,abwt...->a...", sigma.values, ginv, d1, d1, s_t)
-    return BundleSection(gmap, out)
+    _, a_vals = grid_a_term(gmap, sigma.values, grid_a_data(gmap))
+    return BundleSection(gmap, grid_laplacians(gmap, sigma.values) + a_vals)
 
 
 def weitzenbock_residual(gmap: GridMap) -> np.ndarray:
@@ -400,7 +434,6 @@ def weitzenbock_residual(gmap: GridMap) -> np.ndarray:
         defect = gmap.eval_exprs(gmap.engine.weitzenbock_defect())
         return np.max(np.abs(defect), axis=(0, 1))
     warnings.warn("weitzenbock_residual in grid_fd mode is stencil-limited; expect looser tolerances")
-    m, n = gmap.dom.dim, gmap.tgt.dim
     mesh = gmap.mesh
     ginv = gmap.dom.metric_inv(*mesh)
     gam_dom = gmap.dom.christoffel(*mesh)
@@ -409,12 +442,7 @@ def weitzenbock_residual(gmap: GridMap) -> np.ndarray:
     riem = gmap.tgt.riemann(*gmap.values)
     d1 = map_partials(gmap)
     P = second_fundamental_form(gmap)
-    covP = np.empty((n, m, m, m) + gmap.grid_shape)  # [a, k, l, i] = D_k P[a, l, i]
-    for a in range(n):
-        for k in range(m):
-            for l in range(m):
-                for i in range(m):
-                    covP[a, k, l, i] = grid_partial(gmap, P[a, l, i], k)
+    covP = np.moveaxis(grid_partials(gmap, P), 3, 1)  # [a, k, l, i] = D_k P[a, l, i]
     covP = covP + np.einsum("abc...,bk...,cli...->akli...", gam, d1, P)
     covP -= np.einsum("pkl...,api...->akli...", gam_dom, P)
     covP -= np.einsum("pki...,alp...->akli...", gam_dom, P)

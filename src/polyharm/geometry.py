@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy as sp
 
-from . import stencils
 from .errors import CapabilityError, ChartDomainError, ConfigurationError
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "nabla_riemann_at",
     "nabla2_riemann_at",
     "derived_tensors_at",
-    "domain_laplacian",
     "stereographic_factor_metric",
 ]
 
@@ -383,14 +381,6 @@ class TargetModel:
         self.require_jets(1, "Christoffel jet")
         return self._sym.christoffel_jet_exprs
 
-    @functools.cached_property
-    def christoffel_jet2_exprs(self):
-        self.require_jets(2, "second Christoffel jet")
-        c, d = self.coords, self.dim
-        j1 = self.christoffel_jet_exprs
-        return [[[[[sp.diff(j1[a][b][cc][e], c[f]) for f in range(d)] for e in range(d)]
-                  for cc in range(d)] for b in range(d)] for a in range(d)]
-
     @property
     def is_space_form(self) -> bool:
         return self.curvature_const is not None
@@ -647,7 +637,7 @@ def derived_tensors_at(model: TargetModel, point: np.ndarray) -> DerivedTensors:
 
 
 # ---------------------------------------------------------------------------
-# grid Laplace-Beltrami
+# periodic grid nodes
 # ---------------------------------------------------------------------------
 
 
@@ -656,34 +646,3 @@ def grid_axes(dom: DomainModel, shape: tuple[int, ...]):
     if not dom.chart.periodic:
         raise ConfigurationError(f"domain '{dom.name}' is not periodic; grid operations need a torus chart")
     return [np.linspace(lo, hi, n, endpoint=False) for lo, hi, n in zip(dom.chart.lo, dom.chart.hi, shape)]
-
-
-def grid_mesh(dom: DomainModel, shape: tuple[int, ...]):
-    return np.meshgrid(*grid_axes(dom, shape), indexing="ij")
-
-
-def domain_laplacian(f: np.ndarray, dom: DomainModel, order: int = 4) -> np.ndarray:
-    """Laplace-Beltrami with the geometer's sign on a periodic grid:
-
-    ``lap f = -g^{ij} d2f/dx^i dx^j + g^{ij} Gamma^k_{ij} df/dx^k``
-    """
-    f = np.asarray(f, dtype=float)
-    shape = f.shape
-    stencils.check_resolution(shape, order)
-    mesh = grid_mesh(dom, shape)
-    hs = [(hi - lo) / n for lo, hi, n in zip(dom.chart.lo, dom.chart.hi, shape)]
-    ginv = dom.metric_inv(*mesh)
-    gam = dom.christoffel(*mesh)
-    m = dom.dim
-    out = np.zeros_like(f)
-    for i in range(m):
-        for j in range(m):
-            gij = ginv[i, j]
-            if np.all(gij == 0):
-                continue
-            out -= gij * stencils.partial2(f, i, j, hs[i], hs[j], order)
-    gradients = [stencils.diff1(f, k, hs[k], order) for k in range(m)]
-    for k in range(m):
-        coef = np.einsum("ij...,ij...->...", ginv, gam[k])
-        out += coef * gradients[k]
-    return out

@@ -26,12 +26,13 @@ from .fields import (
     BundleSection,
     GridMap,
     VGrid,
+    covd_values,
     dphi_values,
-    grid_partial,
-    map_laplacian,
+    grid_a_data,
+    grid_a_term,
+    grid_laplacians,
     map_partials,
     rough_laplacian,
-    scalar_laplacian,
     tension,
 )
 
@@ -94,20 +95,6 @@ def trace_R_sec_frame(ginv, riem, d1, x_sec, y_frame) -> np.ndarray:
     return np.einsum("ij...,adbc...,b...,ci...,dj...->a...", ginv, riem, x_sec, y_frame, d1)
 
 
-def covd_values(v_vals, gam, d1, u_vals) -> np.ndarray:
-    """(covd_i u)^a = v^a_i + Gamma^a_{bg} dphi^b_i u^g."""
-    return v_vals + np.einsum("abg...,bi...,g...->ai...", gam, d1, u_vals)
-
-
-def a_term_values(eta, xi, ginv, d1, lap_phi, gam, s_t) -> np.ndarray:
-    """Numeric A^a(eta, xi):  -2 g^{ij} xi^t_i dphi^b_j Gamma^a_{bt}
-    + eta^t [ lap(phi^b) Gamma^a_{bt} - g^{ij} dphi^b_j dphi^w_i S^a_{bwt} ]."""
-    out = -2.0 * np.einsum("ij...,ti...,bj...,abt...->a...", ginv, xi, d1, gam)
-    out += np.einsum("t...,b...,abt...->a...", eta, lap_phi, gam)
-    out -= np.einsum("t...,ij...,bj...,wi...,abwt...->a...", eta, ginv, d1, d1, s_t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -119,13 +106,7 @@ def a_term(u_prev: BundleSection, gmap: GridMap) -> BundleSection:
         eng = gmap.engine
         exprs = eng.a_term(u_prev.exprs, eng.grad(u_prev.exprs))
         return BundleSection(gmap, gmap.eval_exprs(exprs), exprs=exprs)
-    n, m = gmap.tgt.dim, gmap.dom.dim
-    xi = np.stack([np.stack([grid_partial(gmap, u_prev.values[a], i) for i in range(m)]) for a in range(n)])
-    vals = a_term_values(
-        u_prev.values, xi,
-        gmap.dom.metric_inv(*gmap.mesh), map_partials(gmap), map_laplacian(gmap),
-        gmap.tgt.christoffel(*gmap.values), gmap.tgt.s_tensor(*gmap.values),
-    )
+    _, vals = grid_a_term(gmap, u_prev.values, grid_a_data(gmap))
     return BundleSection(gmap, vals)
 
 
@@ -163,23 +144,16 @@ def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower
 
 
 def _build_tower_fd(gmap: GridMap, k: int) -> TensionTower:
-    n, m = gmap.tgt.dim, gmap.dom.dim
-    ginv = gmap.dom.metric_inv(*gmap.mesh)
-    d1 = map_partials(gmap)
-    lap_phi = map_laplacian(gmap)
-    gam = gmap.tgt.christoffel(*gmap.values)
-    s_t = gmap.tgt.s_tensor(*gmap.values)
+    data = grid_a_data(gmap)
     u = [tension(gmap)]
     v: list[VGrid] = []
     a: list[BundleSection] = []
     for _ in range(k - 1):
         prev = u[-1].values
-        xi = np.stack([np.stack([grid_partial(gmap, prev[al], i) for i in range(m)]) for al in range(n)])
+        xi, a_vals = grid_a_term(gmap, prev, data)
         v.append(VGrid(gmap, xi))
-        a_vals = a_term_values(prev, xi, ginv, d1, lap_phi, gam, s_t)
         a.append(BundleSection(gmap, a_vals))
-        lap_u = np.stack([scalar_laplacian(gmap, prev[al]) for al in range(n)])
-        u.append(BundleSection(gmap, lap_u + a_vals))
+        u.append(BundleSection(gmap, grid_laplacians(gmap, prev) + a_vals))
     return TensionTower(k, u, v, a)
 
 
@@ -264,8 +238,7 @@ def tau4_explicit(gmap: GridMap, tower: TensionTower | None = None) -> BundleSec
     a_top = a_term(tower.u[2], gmap)
     fk = fk_literal_values(gmap, 4, [s.values for s in tower.u],
                            [vg.values for vg in tower.v], a_top.values)
-    lap_u2 = np.stack([scalar_laplacian(gmap, tower.u[2].values[a]) for a in range(gmap.tgt.dim)])
-    return BundleSection(gmap, lap_u2 - fk)
+    return BundleSection(gmap, grid_laplacians(gmap, tower.u[2].values) - fk)
 
 
 def fk_literal_values(gmap: GridMap, k: int, u: list[np.ndarray], v: list[np.ndarray],

@@ -27,8 +27,9 @@ from .fields import (
     BundleSection,
     GridMap,
     dphi_values,
-    grid_partial,
-    scalar_laplacian,
+    gamma_trace,
+    grid_laplacians,
+    grid_partials,
     second_fundamental_form,
 )
 from .polytension import (
@@ -167,7 +168,6 @@ def _commutator_values(gmap: GridMap, w: np.ndarray) -> np.ndarray:
                + g^{lj} dGam^p_{lj}/dx^i) w^c_p.
     Zero on flat domain charts.
     """
-    m = gmap.dom.dim
     if gmap.dom.is_flat_euclidean:
         return np.zeros_like(w)
     mesh = gmap.mesh
@@ -175,12 +175,7 @@ def _commutator_values(gmap: GridMap, w: np.ndarray) -> np.ndarray:
     ginv = gmap.dom.metric_inv(*mesh)
     gam = gmap.dom.christoffel(*mesh)               # [p, l, j]
     dgam = gmap.dom.christoffel_jet(*mesh)          # [p, l, j, i]
-    comp = w.shape[0]
-    dw = np.empty((comp, m, m) + gmap.grid_shape)   # [c, k, j] = d_j w_k
-    for c in range(comp):
-        for kk in range(m):
-            for j in range(m):
-                dw[c, kk, j] = grid_partial(gmap, w[c, kk], j)
+    dw = grid_partials(gmap, w)                     # [c, k, j] = d_j w_k
     out = np.einsum("kji...,ckj...->ci...", dginv, dw)
     coef = np.einsum("lji...,plj...->pi...", dginv, gam)
     coef += np.einsum("lj...,plji...->pi...", ginv, dgam)
@@ -193,7 +188,7 @@ def _lap_phi_identity(gmap: GridMap, tower: TensionTower) -> np.ndarray:
     d1 = dphi_values(gmap)
     ginv = gmap.dom.metric_inv(*gmap.mesh)
     gam = gmap.tgt.christoffel(*gmap.values)
-    return -tower.u[0].values + np.einsum("ij...,abg...,bi...,gj...->a...", ginv, gam, d1, d1)
+    return -tower.u[0].values + gamma_trace(ginv, gam, d1)
 
 
 def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = True) -> BlockRHS:
@@ -216,10 +211,6 @@ def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = Tr
     analytic = gmap.eval_mode == "analytic_jet"
     eng = gmap.engine if analytic else None
 
-    def d_num(arr: np.ndarray) -> np.ndarray:
-        return np.stack([np.stack([grid_partial(gmap, arr[c], i) for i in range(m)])
-                         for c in range(arr.shape[0])])
-
     def diff_block(j: int) -> np.ndarray:
         """d(u_{j+1} - A_{j+1}) with components (n, m) + grid."""
         if analytic:
@@ -227,7 +218,7 @@ def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = Tr
             exprs = [[sp.diff(u_e[j + 1][c] - a_e[j][c], eng.xs[i]) for i in range(m)]
                      for c in range(gmap.tgt.dim)]
             return gmap.eval_exprs(exprs)
-        return d_num(u[j + 1] - a[j])
+        return grid_partials(gmap, u[j + 1] - a[j])
 
     def commutator(w_vals: np.ndarray, w_exprs) -> np.ndarray:
         if analytic:
@@ -254,7 +245,7 @@ def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = Tr
                                      for c in range(gmap.tgt.dim)])
     else:
         v_exprs = [None] * (k - 2)
-        d_lap_phi = d_num(lap_phi)
+        d_lap_phi = grid_partials(gmap, lap_phi)
 
     if kind == "equator":
         _equator_precheck(gmap)
@@ -278,11 +269,6 @@ def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = Tr
     return BlockRHS(kind, k, names, blocks, lins, srcs)
 
 
-def _block_laplacian(gmap: GridMap, block: np.ndarray) -> np.ndarray:
-    flat = block.reshape((-1,) + gmap.grid_shape)
-    return np.stack([scalar_laplacian(gmap, flat[c]) for c in range(flat.shape[0])]).reshape(block.shape)
-
-
 def residual(gmap: GridMap, k: int, kind: str = "plain") -> np.ndarray:
     """Node-wise max-norm of  lap z - (F + linear corrections + tau_k source)
     with the grid Laplacian on the left; exactly zero for harmonic maps and
@@ -294,7 +280,7 @@ def residual(gmap: GridMap, k: int, kind: str = "plain") -> np.ndarray:
     rhs = build_rhs(gmap, k, kind)
     out = np.zeros(gmap.grid_shape)
     for zb, fb, lin, src in zip(z.blocks, rhs.blocks, rhs.linear_corrections, rhs.tension_source):
-        gap = _block_laplacian(gmap, zb) - (fb + lin + src)
+        gap = grid_laplacians(gmap, zb) - (fb + lin + src)
         flat = np.abs(gap).reshape((-1,) + gmap.grid_shape)
         out = np.maximum(out, np.max(flat, axis=0))
     return out
@@ -339,12 +325,10 @@ def aronszajn_ratio(gmap: GridMap, k: int, kind: str = "plain",
         raise ConfigurationError("extended reduced vector of a winding map has a non-periodic block")
     z = build_reduced(gmap, k, kind)
     stacked = z.stacked()
-    m = gmap.dom.dim
-    num = np.max(np.abs(np.stack([scalar_laplacian(gmap, stacked[c]) for c in range(stacked.shape[0])])), axis=0)
+    num = np.max(np.abs(grid_laplacians(gmap, stacked)), axis=0)
     den = np.sum(np.abs(stacked), axis=0)
-    for c in range(stacked.shape[0]):
-        for i in range(m):
-            den += np.abs(grid_partial(gmap, stacked[c], i))
+    for d in grid_partials(gmap, stacked).reshape((-1,) + gmap.grid_shape):
+        den += np.abs(d)
     return _sup_ratio(num, den, mask)
 
 
@@ -384,7 +368,6 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
     if not np.allclose(gmap.winding, gmap2.winding):
         raise ConfigurationError("pair bound needs maps with identical winding")
     gs = gmap.grid_shape
-    m, n = gmap.dom.dim, gmap.tgt.dim
 
     t1, a1top = _tower_for_reduction(gmap, k)
     t2, a2top = _tower_for_reduction(gmap2, k)
@@ -395,11 +378,6 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
     a1 = [s.values for s in t1.a]
     a2 = [s.values for s in t2.a]
 
-    def d_of(arr):
-        flat = arr.reshape((-1,) + gs)
-        return np.stack([np.stack([grid_partial(gmap, flat[c], i) for i in range(m)])
-                         for c in range(flat.shape[0])])
-
     d_phi = dphi_values(gmap)
     d_phi2 = dphi_values(gmap2)
     phi_d = _abs_block(gmap.values - gmap2.values, gs)
@@ -407,15 +385,15 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
     sff_d = _abs_block(second_fundamental_form(gmap) - second_fundamental_form(gmap2), gs)
     u_d = [_abs_block(u1[i] - u2[i], gs) for i in range(k - 1)]
     v_d = [_abs_block(v1[i] - v2[i], gs) for i in range(k - 2)]
-    dv_d = [_abs_block(d_of(v1[i] - v2[i]), gs) for i in range(k - 2)]
-    du_top_d = _abs_block(d_of(u1[k - 2] - u2[k - 2]), gs)
+    dv_d = [_abs_block(grid_partials(gmap, v1[i] - v2[i]), gs) for i in range(k - 2)]
+    du_top_d = _abs_block(grid_partials(gmap, u1[k - 2] - u2[k - 2]), gs)
 
     # constituent lemma 1: the map difference row
-    lap_diff = _block_laplacian(gmap, gmap.values - gmap2.values)
+    lap_diff = grid_laplacians(gmap, gmap.values - gmap2.values)
     r1 = _sup_ratio(_abs_block(lap_diff, gs), phi_d + dphi_d + u_d[0], mask)
 
     # lemma 2: the differential row
-    lap_ddiff = _block_laplacian(gmap, d_phi - d_phi2)
+    lap_ddiff = grid_laplacians(gmap, d_phi - d_phi2)
     r2 = _sup_ratio(_abs_block(lap_ddiff, gs), phi_d + dphi_d + sff_d + v_d[0], mask)
 
     # lemma 3 and 4: the A-term pairs, worst case over j
@@ -427,7 +405,7 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
         rep3 = _sup_ratio(lhs3, den3, mask)
         best3 = rep3 if best3 is None or rep3.ratio > best3.ratio else best3
         if j <= k - 3:
-            lhs4 = _abs_block(d_of((u1[j + 1] - a1[j]) - (u2[j + 1] - a2[j])), gs)
+            lhs4 = _abs_block(grid_partials(gmap, (u1[j + 1] - a1[j]) - (u2[j + 1] - a2[j])), gs)
             den4 = (phi_d + dphi_d + sff_d + u_d[0] + v_d[0] + u_d[j] + v_d[j] + dv_d[j] + u_d[j + 1])
             rep4 = _sup_ratio(lhs4, den4, mask)
             best4 = rep4 if best4 is None or rep4.ratio > best4.ratio else best4
@@ -442,7 +420,7 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
     z1 = build_reduced(gmap, k, "extended")
     z2 = build_reduced(gmap2, k, "extended")
     dz = z1.stacked() - z2.stacked()
-    num = np.max(np.abs(np.stack([scalar_laplacian(gmap, dz[c]) for c in range(dz.shape[0])])), axis=0)
+    num = np.max(np.abs(grid_laplacians(gmap, dz)), axis=0)
     den_full = phi_d + dphi_d + sff_d + sum(u_d) + sum(v_d) + sum(dv_d) + du_top_d
     r_full = _sup_ratio(num, den_full, mask)
     return PairBoundReport(r_full, r1, r2, best3, best4, r5)
@@ -483,7 +461,6 @@ def equator_bound(gmap: GridMap, k: int, window, vanish_tol: float = 1e-10) -> E
     max_on_w = max(block_max.values())
 
     rhs = build_rhs(gmap, k, "equator", with_source=False)
-    m = gmap.dom.dim
     num = np.zeros(gs)
     for fb, lin in zip(rhs.blocks, rhs.linear_corrections):
         num = np.maximum(num, _abs_block(fb + lin, gs))
@@ -504,12 +481,9 @@ def equator_bound(gmap: GridMap, k: int, window, vanish_tol: float = 1e-10) -> E
         du_top = [sp.diff(u_exprs[k - 2][-1], xi) for xi in eng.xs]
         den += _abs_block(gmap.eval_exprs(du_top), gs)
     else:
-        flat_named = dict(zip(z.names, z.blocks))
-        for name in list(flat_named):
+        for name, b in zip(z.names, z.blocks):
             if name.startswith("v") or name == f"u{k - 2}_n":
-                blk = flat_named[name].reshape((-1,) + gs)
-                for c in range(blk.shape[0]):
-                    for i in range(m):
-                        den += np.abs(grid_partial(gmap, blk[c], i))
+                for d in grid_partials(gmap, b).reshape((-1,) + gs):
+                    den += np.abs(d)
     off = _sup_ratio(num, den, ~w_mask)
     return EquatorReport(max_on_w, block_max, off)

@@ -18,7 +18,7 @@ pointwise algebra; the tangential components are asserted to vanish.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +28,19 @@ from .errors import (
     ConfigurationError,
     NumericalContractError,
 )
-from .fields import BundleSection, GridMap, covariant_derivative, dphi_values, tension
+from .fields import (
+    BundleSection,
+    GridMap,
+    a_term_values,
+    covariant_derivative,
+    covd_values,
+    dphi_values,
+    gamma_trace,
+    tension,
+)
 from .geometry import round_sphere_polar, sphere_cap_domain
 from .polytension import (
-    a_term_values,
     build_tower,
-    covd_values,
     curv_apply_num,
     hat_tau4,
     tau_k,
@@ -43,7 +50,6 @@ from .polytension import (
 __all__ = [
     "VARIATIONAL_SIGN",
     "EnergyReport",
-    "LatitudeProblem",
     "FlowResult",
     "energy_k",
     "energy_es4",
@@ -204,23 +210,6 @@ def calibrate_variational_sign(resolution: int = 48) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatitudeProblem:
-    """The scalar reduction alpha -> normal component of tau_k on the
-    inclusion of the latitude sphere S^m(sin alpha) in S^{m+1}; the equator
-    alpha = pi/2 is a root for every order."""
-
-    m: int
-    order: object  # int k or "es4"
-    alpha: float | None = None
-
-    def reduction(self, alpha: float | None = None) -> float:
-        a = self.alpha if alpha is None else alpha
-        if a is None:
-            raise ConfigurationError("LatitudeProblem needs an angle")
-        return latitude_reduction(self.m, self.order, a)
-
-
 @functools.lru_cache(maxsize=None)
 def _latitude_context(m: int):
     """Per-m chart data for the pointwise latitude evaluation: the target
@@ -258,7 +247,7 @@ def _latitude_tower(st: dict, k: int):
     """Pointwise tower: by homogeneity every level is constant, so
     u_{i+1} = A(u_i, 0) and all v_i vanish."""
     n, m = st["d1"].shape
-    tau = -st["lap_phi"] + np.einsum("ij,atb,ti,bj->a", st["ginv"], st["gam"], st["d1"], st["d1"])
+    tau = -st["lap_phi"] + gamma_trace(st["ginv"], st["gam"], st["d1"])
     u = [tau]
     for _ in range(k - 1):
         u.append(a_term_values(u[-1], np.zeros((n, m)), st["ginv"], st["d1"],
@@ -275,7 +264,7 @@ def _latitude_hat_tau4(st: dict) -> np.ndarray:
     ginv, d1, lap_phi = st["ginv"], st["d1"], st["lap_phi"]
     gam, s_t, riem = st["gam"], st["s_t"], st["riem"]
     n, m = d1.shape
-    u0 = -lap_phi + np.einsum("ij,atb,ti,bj->a", ginv, gam, d1, d1)
+    u0 = -lap_phi + gamma_trace(ginv, gam, d1)
     cd_u0 = covd_values(np.zeros((n, m)), gam, d1, u0)
     P = np.einsum("abc,bi,cj->aij", gam, d1, d1) - np.einsum("kij,ak->aij", st["gam_dom"], d1)
     T = np.einsum("adbc,bi,cj,d->aij", riem, d1, d1, u0)
@@ -319,11 +308,8 @@ def latitude_reduction(m: int, order, alpha: float, tangential_tol: float = 1e-1
     k = 4 if order == "es4" else int(order)
     if k < 1:
         raise ConfigurationError("latitude reduction order must be >= 1 or 'es4'")
-    if k == 1:
-        vals = -st["lap_phi"] + np.einsum("ij,atb,ti,bj->a", st["ginv"], st["gam"], st["d1"], st["d1"])
-    else:
-        u, v = _latitude_tower(st, k)
-        vals = tau_k_from_tower(k, st["ginv"], st["d1"], st["riem"], st["gam"], u, v)
+    u, v = _latitude_tower(st, k)
+    vals = u[0] if k == 1 else tau_k_from_tower(k, st["ginv"], st["d1"], st["riem"], st["gam"], u, v)
     if order == "es4":
         vals = vals + _latitude_hat_tau4(st)
     tang = float(np.max(np.abs(vals[:m]))) if m else 0.0

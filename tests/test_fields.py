@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyharm import fields as fl
 from polyharm import geometry as geo
+from polyharm import stencils
 from polyharm.errors import ChartDomainError, ConfigurationError
 
 from conftest import observed_order
@@ -148,6 +149,86 @@ def test_rough_laplacian_latitude_value(map_latitude):
     assert np.max(np.abs(rl[2] - c1)) <= 1e-8
     assert abs(c1 - (-0.7698003589195011)) <= 1e-12
     assert np.max(np.abs(rl[:2])) <= 1e-10
+
+
+# -- stacked stencil helpers ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def winding_fd_map(dom_t2, tgt_s2):
+    """Winding torus -> S^2 map on a non-square grid_fd grid."""
+    x1, x2 = dom_t2.coords
+    return fl.GridMap.from_exprs(dom_t2, tgt_s2, (32, 24),
+                                 (2 * x1 + sp.cos(x2) / 5, sp.pi / 2 + sp.sin(x1 + x2) / 4),
+                                 eval_mode="grid_fd")
+
+
+def _stack_fields(gm):
+    """A (3, 2) + grid stack of periodic fields built from the map."""
+    per = gm.periodic_values
+    return np.stack([per, np.sin(per), per * np.cos(per[::-1])]).reshape((3, 2) + gm.grid_shape)
+
+
+def _scalar_laplacian_loop(gm, f):
+    """Per-component reference: -g^{ij} d_ij f + g^{ij} Gamma^k_{ij} d_k f."""
+    hs = gm.spacings
+    ginv = gm.dom.metric_inv(*gm.mesh)
+    gam = gm.dom.christoffel(*gm.mesh)
+    out = np.zeros_like(f)
+    for i in range(gm.dom.dim):
+        for j in range(gm.dom.dim):
+            if np.all(ginv[i, j] == 0):
+                continue
+            out -= ginv[i, j] * stencils.partial2(f, i, j, hs[i], hs[j], gm.fd_order)
+    for k in range(gm.dom.dim):
+        coef = np.einsum("ij...,ij...->...", ginv, gam[k])
+        if np.any(coef != 0):
+            out += coef * stencils.diff1(f, k, hs[k], gm.fd_order)
+    return out
+
+
+def test_grid_partials_match_component_loop(winding_fd_map):
+    gm = winding_fd_map
+    arr = _stack_fields(gm)
+    want = np.empty((3, 2, 2) + gm.grid_shape)
+    for c in np.ndindex(3, 2):
+        for i in range(2):
+            want[c + (i,)] = fl.grid_partial(gm, arr[c], i)
+    assert np.array_equal(fl.grid_partials(gm, arr), want)
+    assert np.array_equal(fl.grid_partials(gm, arr[1, 0]), want[1, 0])
+
+
+@pytest.mark.parametrize("which", ["winding_torus", "bumpy_circle"])
+def test_grid_laplacians_match_component_loop(winding_fd_map, dom_bumpy, tgt_s2, which):
+    if which == "winding_torus":
+        gm = winding_fd_map
+    else:
+        x = dom_bumpy.coords[0]
+        gm = fl.GridMap.from_exprs(dom_bumpy, tgt_s2, (48,), (x, sp.pi / 2 + sp.sin(x) / 4),
+                                   eval_mode="grid_fd")
+    arr = _stack_fields(gm)
+    want = np.empty_like(arr)
+    for c in np.ndindex(3, 2):
+        want[c] = _scalar_laplacian_loop(gm, arr[c])
+    assert np.array_equal(fl.grid_laplacians(gm, arr), want)
+    assert np.array_equal(fl.scalar_laplacian(gm, arr[2, 1]), want[2, 1])
+
+
+def test_grid_rough_laplacian_matches_literal_formula(winding_fd_map):
+    gm = winding_fd_map
+    sigma = fl.tension(gm)
+    d1 = fl.map_partials(gm)
+    ginv = gm.dom.metric_inv(*gm.mesh)
+    gam = gm.tgt.christoffel(*gm.values)
+    s_t = gm.tgt.s_tensor(*gm.values)
+    dsig = np.stack([np.stack([fl.grid_partial(gm, sigma.values[a], i) for i in range(2)])
+                     for a in range(2)])
+    want = np.stack([_scalar_laplacian_loop(gm, sigma.values[a]) for a in range(2)])
+    want -= 2.0 * np.einsum("ij...,tj...,bi...,abt...->a...", ginv, dsig, d1, gam)
+    want += np.einsum("t...,b...,abt...->a...", sigma.values, fl.map_laplacian(gm), gam)
+    want -= np.einsum("t...,ij...,bj...,wi...,abwt...->a...", sigma.values, ginv, d1, d1, s_t)
+    got = fl.rough_laplacian(sigma).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_weitzenbock_flat_affine(harmonic_maps):

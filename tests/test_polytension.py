@@ -276,3 +276,22 @@ def test_latitude_hat_tau4_cancels():
 
     st_ = _latitude_state(2, 0.8)
     assert np.max(np.abs(_latitude_hat_tau4(st_))) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="lambdify(cse=True) misevaluates deep tower levels "
+                   "(held Mul(Rational, Add) nodes); both tau_4 routes share the evaluator")
+def test_tower_level_u3_evaluates_to_exact_values():
+    # the tau4_circle_sphere config map; u_3 evaluated on the grid against
+    # exact 30-digit evalf at two nodes
+    dom = geo.flat_torus(1)
+    tgt = geo.round_sphere_polar(2, collar=1e-3)
+    x1 = dom.coords[0]
+    gm = fl.GridMap.from_exprs(dom, tgt, (64,), (x1, sp.pi / 2 + 2 * sp.sin(x1) / 5),
+                               eval_mode="analytic_jet")
+    u3 = gm.engine.u_level(3)
+    got = gm.eval_exprs(u3)
+    for node in (3, 40):
+        x = float(gm.mesh[0][node])
+        exact = np.array([float(e.xreplace({x1: sp.Float(x, 30)}).evalf(30)) for e in u3])
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(exact))))
+        assert np.max(np.abs(got[:, node] - exact)) <= tol
