@@ -88,7 +88,7 @@ class GridMap:
             vals = fns(*mesh)
         values = np.stack([np.broadcast_to(np.asarray(v, dtype=float), grid_shape) for v in vals])
         if winding is None and dom.chart.periodic:
-            winding = _detect_winding(dom, exprs)
+            winding = _detect_winding(dom, exprs, require_constant=eval_mode == "grid_fd")
         return cls(dom, tgt, grid_shape, values, eval_mode, exprs if eval_mode == "analytic_jet" else None,
                    winding, fd_order)
 
@@ -173,17 +173,34 @@ def _mesh_any(dom: DomainModel, shape):
     return np.meshgrid(*_axes_any(dom, shape), indexing="ij")
 
 
-def _detect_winding(dom: DomainModel, exprs) -> np.ndarray:
-    """Per-axis slope (phi(x + L e_i) - phi(x)) / L of each component."""
+# chart-coordinate offsets of the winding probes from the first probe point
+WINDING_PROBE_OFFSETS = (0.0, 0.7, 1.4, 2.1)
+
+
+def _detect_winding(dom: DomainModel, exprs, require_constant: bool = False) -> np.ndarray:
+    """Per-axis slope (phi(x + L e_i) - phi(x)) / L of each component, read
+    at the first probe point.  With ``require_constant`` (``grid_fd`` maps,
+    whose stencils only see ``values`` minus the linear winding part) the
+    shift difference must agree at every probe to 1e-9 relative, or the map
+    is rejected: a non-constant difference is not a winding."""
     n, m = len(exprs), dom.dim
     out = np.zeros((n, m))
-    probe = {c: 0.1 + 0.05 * k for k, c in enumerate(dom.coords)}
+    probes = [{c: 0.1 + 0.05 * k + off for k, c in enumerate(dom.coords)} for off in WINDING_PROBE_OFFSETS]
     for a, e in enumerate(exprs):
         for i, c in enumerate(dom.coords):
             L = dom.chart.hi[i] - dom.chart.lo[i]
             shifted = e.subs(c, c + L)
             diff = sp.simplify(shifted - e)
-            out[a, i] = float(diff.subs(probe)) / L if diff != 0 else 0.0
+            if diff == 0:
+                continue
+            seen = [float(diff.subs(p)) for p in (probes if require_constant else probes[:1])]
+            out[a, i] = seen[0] / L
+            spread = max(seen) - min(seen)
+            if require_constant and not spread <= 1e-9 * max(1.0, max(map(abs, seen))):
+                raise ConfigurationError(
+                    f"grid_fd map component {a} has no constant winding along axis {i}: "
+                    f"its shift by the period {L:.6g} reads {', '.join(f'{v:.6g}' for v in seen)} "
+                    "at the probe points")
     return out
 
 

@@ -37,6 +37,27 @@ def test_winding_detected_for_wrapping_maps(harmonic_maps):
     assert wrap.winding[1, 0] == 0.0
 
 
+def test_grid_fd_rejects_nonconstant_winding(dom_t1, tgt_e1):
+    # (x + 2 pi)^2 - x^2 grows with x: no constant winding for the stencils
+    x = dom_t1.coords[0]
+    with pytest.raises(ConfigurationError, match="component 0 .* axis 0"):
+        fl.GridMap.from_exprs(dom_t1, tgt_e1, (16,), (x ** 2,), eval_mode="grid_fd")
+
+
+def test_analytic_jet_keeps_single_probe_winding(dom_t1, tgt_e1):
+    x = dom_t1.coords[0]
+    gm = fl.GridMap.from_exprs(dom_t1, tgt_e1, (16,), (x ** 2,))
+    assert gm.winding[0, 0] == pytest.approx(0.2 + 2 * np.pi, rel=1e-12)
+
+
+def test_grid_fd_accepts_constant_winding(dom_t2, tgt_s2):
+    x1, x2 = dom_t2.coords
+    gm = fl.GridMap.from_exprs(dom_t2, tgt_s2, (16, 16),
+                               (2 * x1 + sp.cos(x2) / 5, sp.pi / 2 + sp.sin(x1 + x2) / 4),
+                               eval_mode="grid_fd")
+    assert np.max(np.abs(gm.winding - [[2.0, 0.0], [0.0, 0.0]])) <= 1e-12
+
+
 def test_second_ff_totally_geodesic(harmonic_maps):
     sff = fl.second_fundamental_form(harmonic_maps["equator"])
     assert np.max(np.abs(sff)) <= 1e-14

@@ -1,4 +1,6 @@
 """Energies, the variational sign, latitude reductions and the descent flow."""
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -6,7 +8,7 @@ import sympy as sp
 from polyharm import fields as fl
 from polyharm import geometry as geo
 from polyharm import variational as va
-from polyharm.errors import ChartDomainError, ConfigurationError
+from polyharm.errors import ChartDomainError, ConfigurationError, NumericalContractError
 
 
 # -- energies -------------------------------------------------------------------
@@ -156,6 +158,69 @@ def test_latitude_roots_golden(m, order):
     assert len(roots) == 1
     assert abs(roots[0] - GOLDEN_LATITUDE_ROOTS[(m, order)]) <= 1e-9
     assert abs(va.latitude_reduction(m, order, roots[0])) <= 1e-8
+
+
+SCAN_CASES = [(1, 2), (2, 2), (2, 3), (2, "es4"), (3, 2), (3, 5)]
+
+
+@pytest.mark.parametrize("m,order", SCAN_CASES, ids=str)
+def test_latitude_array_values_match_scalar_calls(m, order):
+    grid = np.linspace(0.05, np.pi / 2 - 1e-6, 300)
+    scalar = np.array([va.latitude_reduction(m, order, a) for a in grid])
+    assert np.array_equal(va._latitude_values(m, order, grid), scalar)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_latitude_family_law_on_angle_array(m, k):
+    alphas = np.array([0.3, 0.9, 1.0, 1.2, 1.4])
+    t = 1 / np.tan(alphas)
+    expected = m ** k * t ** (2 * k - 3) * (k - 1 - t ** 2)
+    assert va._latitude_values(m, k, alphas) == pytest.approx(expected, rel=1e-10)
+
+
+def test_latitude_array_checks_name_first_bad_angle():
+    with pytest.raises(ChartDomainError, match=r"angle 2\.0 outside"):
+        va._latitude_values(2, 2, np.array([0.5, 2.0, np.nan]))
+    with pytest.raises(ChartDomainError, match="angle nan outside"):
+        va._latitude_values(2, 2, np.array([0.5, np.nan]))
+    with pytest.raises(ChartDomainError, match=r"angle 0\.0001 inside the pole collar"):
+        va._latitude_values(2, 2, np.array([0.5, 1e-4, 1e-5]))
+
+
+@pytest.mark.parametrize("m,order", [(2, 3), (2, "es4")], ids=str)
+def test_latitude_roots_independent_of_block_size(monkeypatch, m, order):
+    roots = va.find_k_harmonic_latitude(m, order)
+    for block in (1000, 7):
+        monkeypatch.setattr(va, "LATITUDE_BLOCK", block)
+        assert va.find_k_harmonic_latitude(m, order) == roots
+
+
+def test_latitude_scan_rejects_nonfinite_value(monkeypatch):
+    bad = np.linspace(0.05, np.pi / 2 - 1e-6, 1000)[300]
+    state = va._latitude_state
+
+    def poisoned(m, alpha):
+        st = state(m, alpha)
+        st["lap_phi"] = np.where(np.atleast_1d(alpha) == bad, np.nan, st["lap_phi"])
+        return st
+
+    monkeypatch.setattr(va, "_latitude_state", poisoned)
+    with pytest.raises(NumericalContractError, match=re.escape(f"angle {float(bad)}")):
+        va.find_k_harmonic_latitude(2, 3)
+
+
+def test_latitude_search_evaluates_scan_in_blocks(monkeypatch):
+    calls = []
+    state = va._latitude_state
+
+    def counted(m, alpha):
+        calls.append(np.size(alpha))
+        return state(m, alpha)
+
+    monkeypatch.setattr(va, "_latitude_state", counted)
+    assert len(va.find_k_harmonic_latitude(2, 3)) == 1
+    assert len(calls) <= 60
 
 
 def test_latitude_search_rejects_harmonic_order():
