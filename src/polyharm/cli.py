@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -57,6 +58,18 @@ def _node_records(gmap, values: np.ndarray):
     return rows
 
 
+def _require_finite(records: list[tuple], summary: dict) -> None:
+    """No artifact carries a non-finite number: a NaN or an infinity in a
+    record or in the summary is a numerical-contract failure."""
+    for rec in records:
+        for v in rec:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NumericalContractError(f"non-finite value {v} in artifact record {rec}")
+    for key, v in summary.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise NumericalContractError(f"non-finite value {v} in artifact summary {key!r}")
+
+
 def _order_of(cfg: ExperimentConfig):
     return cfg.order if cfg.order == "es4" else int(cfg.order)
 
@@ -68,7 +81,6 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
         if all(d.startswith("capability:") for d in diags):
             raise CapabilityError("; ".join(diags))
         raise ConfigurationError("; ".join(diags))
-    np.random.seed(cfg.seed)
     start = time.monotonic()
     command = cfg.command
     columns: list[str]
@@ -172,6 +184,7 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
         else:
             raise ConfigurationError(f"unknown command {command!r}")
 
+    _require_finite(records, summary)
     wall = time.monotonic() - start
     return ResultArtifact(command, cfg.to_canonical_json(), __version__, columns, records,
                           summary, wall_time=wall)

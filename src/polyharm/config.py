@@ -237,4 +237,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         diags.append("latitude-search needs latitude.m (and latitude.order or order)")
     if cfg.workers < 1:
         diags.append("workers must be >= 1")
+    if cfg.tolerances:
+        diags.append(f"tolerances {sorted(cfg.tolerances)} cannot be set: every check uses its "
+                     "built-in tolerance (the key is accepted only empty)")
     return diags

@@ -1,10 +1,17 @@
-"""Exact symbolic pipeline for closed-form maps (the ``analytic_jet`` mode).
+"""Exact symbolic leaves for closed-form maps (the ``analytic_jet`` mode).
 
-Every field the engine produces (differential, second fundamental form,
-tension, the recursive tower, the higher tension fields, the fourth-order
-curvature corrections, reduced-system blocks) is a sympy expression in the
-domain coordinates.  Derivatives are symbolic, hence exact; grids only enter
-at evaluation time through cached, vectorized ``lambdify`` calls.
+The engine keeps sympy expressions in the domain coordinates only for what
+is differentiated again or serves as a symbolic oracle: the differential,
+lap phi and the second fundamental form, the tension tower with its A-terms
+and partials, both assemblies of tau_k (the covariant recursion and the
+literal F^k), Omega_0 and Omega_1, and the two evaluation paths of
+lapbar Omega_0 together with the direct codifferential of Omega_1.
+Quantities that nothing differentiates afterwards (covariant derivatives,
+section Laplacians, the Weitzenboeck defect, xi_1 and hat tau_4, the
+reduced-system blocks) are assembled from evaluated leaves by the numeric
+kernels in ``fields`` and ``polytension``.  Derivatives are symbolic, hence
+exact; grids only enter at evaluation time through cached, vectorized
+``lambdify`` calls.
 
 Target-model tensors are computed once per model in target coordinates and
 composed with the map expression here.  On purely rational data (e.g. the
@@ -235,11 +242,6 @@ class MapEngine:
     def u_level(self, i: int):
         u, _ = self.tower(i)
         return u[i]
-
-    def a_level(self, i: int):
-        """A_i for i >= 1, built together with tower level i."""
-        _, a = self.tower(i)
-        return a[i - 1]
 
     def a_of_level(self, i: int):
         """A_i = A(u_{i-1}, grad u_{i-1}) without forcing tower level i."""
@@ -495,105 +497,6 @@ class MapEngine:
             out.append(e)
         return out
 
-    @functools.cached_property
-    def xi1(self):
-        """xi_1 = -(nabla_{dphi_j} R)(R(dphi_i, dphi_j) tau, tau, dphi_i)."""
-        self._require_es4()
-        T = self.curv_2form
-        u0 = self.tension
-        out = [sp.S.Zero] * self.n
-        for i, ip, gii in self.trace_pairs():
-            for j, jp, gjj in self.trace_pairs():
-                W = [self.dphi[e][jp] for e in range(self.n)]
-                Z = [self.dphi[d][ip] for d in range(self.n)]
-                term = self.nabla_r_apply(W, T[i][j], u0, Z)
-                for a in range(self.n):
-                    out[a] -= gii * gjj * term[a]
-        return [self._norm(e) for e in out]
-
-    @functools.cached_property
-    def codifferential_terms(self):
-        """The five tensorial terms whose sum is -(xi_1 + d* Omega_1):
-        expanding the codifferential of Omega_1 in a geodesic frame yields
-        xi_1 plus these, so 2 xi_1 + 2 d* Omega_1 = -2 (L2+L3+L4+L5+L6)."""
-        self._require_es4()
-        u0 = self.tension
-        cd_u0 = self.covd(u0)
-        T = self.curv_2form
-        P = self.second_ff
-        L = []
-
-        # L2 = R((nabla_{dphi_i} R)(dphi_i, dphi_j, tau), tau) dphi_j
-        acc = [sp.S.Zero] * self.n
-        for i, ip, gii in self.trace_pairs():
-            for j, jp, gjj in self.trace_pairs():
-                inner = self.nabla_r_apply(
-                    [self.dphi[e][i] for e in range(self.n)],
-                    [self.dphi[b][ip] for b in range(self.n)],
-                    [self.dphi[c][j] for c in range(self.n)],
-                    u0,
-                )
-                term = self.curv_apply(inner, u0, [self.dphi[d][jp] for d in range(self.n)])
-                for a in range(self.n):
-                    acc[a] += gii * gjj * term[a]
-        L.append(acc)
-
-        # L3 = R(R(tau, dphi_j) tau, tau) dphi_j
-        acc = [sp.S.Zero] * self.n
-        for j, jp, gjj in self.trace_pairs():
-            inner = self.curv_apply(u0, [self.dphi[c][j] for c in range(self.n)], u0)
-            term = self.curv_apply(inner, u0, [self.dphi[d][jp] for d in range(self.n)])
-            for a in range(self.n):
-                acc[a] += gjj * term[a]
-        L.append(acc)
-
-        # L4 = R(R(dphi_i, nabla dphi(e_i, e_j)) tau, tau) dphi_j
-        acc = [sp.S.Zero] * self.n
-        for i, ip, gii in self.trace_pairs():
-            for j, jp, gjj in self.trace_pairs():
-                inner = self.curv_apply(
-                    [self.dphi[b][i] for b in range(self.n)],
-                    [P[c][ip][j] for c in range(self.n)],
-                    u0,
-                )
-                term = self.curv_apply(inner, u0, [self.dphi[d][jp] for d in range(self.n)])
-                for a in range(self.n):
-                    acc[a] += gii * gjj * term[a]
-        L.append(acc)
-
-        # L5 = R(R(dphi_i, dphi_j) covd_i tau, tau) dphi_j
-        acc = [sp.S.Zero] * self.n
-        for i, ip, gii in self.trace_pairs():
-            for j, jp, gjj in self.trace_pairs():
-                inner = self.curv_apply(
-                    [self.dphi[b][i] for b in range(self.n)],
-                    [self.dphi[c][j] for c in range(self.n)],
-                    [cd_u0[d][ip] for d in range(self.n)],
-                )
-                term = self.curv_apply(inner, u0, [self.dphi[d][jp] for d in range(self.n)])
-                for a in range(self.n):
-                    acc[a] += gii * gjj * term[a]
-        L.append(acc)
-
-        # L6 = R(R(dphi_i, dphi_j) tau, covd_i tau) dphi_j
-        acc = [sp.S.Zero] * self.n
-        for i, ip, gii in self.trace_pairs():
-            for j, jp, gjj in self.trace_pairs():
-                term = self.curv_apply(
-                    T[i][j],
-                    [cd_u0[d][ip] for d in range(self.n)],
-                    [self.dphi[d][jp] for d in range(self.n)],
-                )
-                for a in range(self.n):
-                    acc[a] += gii * gjj * term[a]
-        L.append(acc)
-        return L
-
-    @functools.cached_property
-    def two_xi1_plus_two_dstar_omega1(self):
-        L = self.codifferential_terms
-        return [self._norm(-2 * sp.Add(*[Lt[a] for Lt in L])) for a in range(self.n)]
-
     def dstar_omega1_direct(self):
         """Independent codifferential: d* w = -g^{kl} [ d_k w_l^a
         + Gamma^a_{bc} dphi^b_k w_l^c - Gamma^p_{kl} w_p^a ]."""
@@ -674,100 +577,6 @@ class MapEngine:
         Omega_0 components (the 'path (a)' evaluation): lap + A(., grad .)."""
         sec = self.omega0
         return [self._norm(self.lap(e) + a) for e, a in zip(sec, self.a_term(sec, self.grad(sec)))]
-
-    def hat_tau4(self, lapbar_omega0=None):
-        """hat tau_4 = -1/2 (2 xi_1 + 2 d* Omega_1 + lapbar Omega_0 + Tr R(dphi, Omega_0) dphi)."""
-        self._require_es4()
-        lo = lapbar_omega0 if lapbar_omega0 is not None else self.lapbar_omega0_rough()
-        # Tr R(dphi, Omega_0) dphi = -Sum_j R(Omega_0, dphi_j) dphi_j (R antisymmetric)
-        tr = self.trace_R_dphi(self.omega0)
-        core = self.two_xi1_plus_two_dstar_omega1
-        return [self._norm(-(core[a] + lo[a] - tr[a]) / 2) for a in range(self.n)]
-
-    # -- Weitzenboeck residual --------------------------------------------------------
-
-    def weitzenbock_defect(self):
-        """Per-index defect of the commutation identity
-
-        Sum_k covd_k covd_k dphi(e_i) - R(dphi_k, dphi_i) dphi_k
-            - dphi(Ric^M(e_i)) - covd_i tau   -> [i][a]
-        """
-        P = self.second_ff
-        ric = self.dom.ricci_exprs
-        cd_tau = self.covd(self.tension)
-        out = _nested((self.m, self.n))
-        for i_free in range(self.m):
-            # trace of the second covariant derivative of dphi, slot i free
-            acc = [sp.S.Zero] * self.n
-            for k, l, gkl in self.trace_pairs():
-                for a in range(self.n):
-                    e = sp.diff(P[a][l][i_free], self.xs[k])
-                    for b in range(self.n):
-                        for c in range(self.n):
-                            if self.gamma_c[a][b][c] != 0:
-                                e += self.gamma_c[a][b][c] * self.dphi[b][k] * P[c][l][i_free]
-                    for p in range(self.m):
-                        if self.gam_dom[p][k][l] != 0:
-                            e -= self.gam_dom[p][k][l] * P[a][p][i_free]
-                        if self.gam_dom[p][k][i_free] != 0:
-                            e -= self.gam_dom[p][k][i_free] * P[a][l][p]
-                    acc[a] += gkl * e
-            # curvature term R(dphi_k, dphi_i) dphi_k, k g-traced
-            for k, l, gkl in self.trace_pairs():
-                term = self.curv_apply(
-                    [self.dphi[b][k] for b in range(self.n)],
-                    [self.dphi[c][i_free] for c in range(self.n)],
-                    [self.dphi[d][l] for d in range(self.n)],
-                )
-                for a in range(self.n):
-                    acc[a] -= gkl * term[a]
-            # dphi(Ric(e_i)) with the mixed Ricci tensor
-            for a in range(self.n):
-                for jj in range(self.m):
-                    coef = sp.S.Zero
-                    for kk in range(self.m):
-                        if ric[kk][i_free] != 0 and self.ginv[jj][kk] != 0:
-                            coef += self.ginv[jj][kk] * ric[kk][i_free]
-                    if coef != 0:
-                        acc[a] -= coef * self.dphi[a][jj]
-                acc[a] -= cd_tau[a][i_free]
-            out[i_free] = [self._norm(e) for e in acc]
-        return out
-
-    # -- commutator of the Laplacian with coordinate partials ---------------------------
-
-    def lap_partial_commutator(self, w_tab):
-        """C_i(w) for a table w[comp][k] of first partials:
-
-        lap(d_i f) = d_i(lap f) + C_i(df) with
-        C_i(w)^comp = dg^{kj}/dx^i d_j w^comp_k
-                      - (dg^{lj}/dx^i Gam^k_{lj} + g^{lj} dGam^k_{lj}/dx^i) w^comp_k.
-        Vanishes identically on flat domain charts.
-        """
-        ncomp = len(w_tab)
-        out = _nested((ncomp, self.m))
-        for i in range(self.m):
-            for comp in range(ncomp):
-                e = sp.S.Zero
-                for k in range(self.m):
-                    for j in range(self.m):
-                        dg = sp.diff(self.ginv[k][j], self.xs[i])
-                        if dg != 0:
-                            e += dg * sp.diff(w_tab[comp][k], self.xs[j])
-                    coef = sp.S.Zero
-                    for l in range(self.m):
-                        for j in range(self.m):
-                            dg = sp.diff(self.ginv[l][j], self.xs[i])
-                            if dg != 0 and self.gam_dom[k][l][j] != 0:
-                                coef += dg * self.gam_dom[k][l][j]
-                            if self.ginv[l][j] != 0:
-                                dgam = sp.diff(self.gam_dom[k][l][j], self.xs[i])
-                                if dgam != 0:
-                                    coef += self.ginv[l][j] * dgam
-                    if coef != 0:
-                        e -= coef * w_tab[comp][k]
-                out[comp][i] = e
-        return out
 
     # -- evaluation ---------------------------------------------------------------------
 

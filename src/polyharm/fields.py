@@ -6,6 +6,15 @@ unknown in ``grid_fd`` mode).  Components may wind around periodic target
 directions; the linear winding part is stored separately so stencils only
 ever touch periodic data.
 
+The two evaluation modes differ only in the derivative primitives
+(``section_partials``, ``section_laplacians``, ``dphi_values``,
+``map_second_partials``, ``map_laplacian`` and the partials of lap phi and
+of the second fundamental form): ``analytic_jet`` differentiates closed forms
+and evaluates them on the grid, ``grid_fd`` applies stencils.  Every operator
+above them has one body over the node-wise kernels; only ``tension`` keeps
+its closed form in ``analytic_jet`` mode, because the tower differentiates
+it again.
+
 Every operation is node-wise (up to a stencil halo) and returns fresh
 containers; nothing here mutates shared state.
 """
@@ -22,7 +31,7 @@ import sympy as sp
 from . import stencils
 from .engine import MapEngine
 from .errors import CapabilityError, ConfigurationError
-from .geometry import DomainModel, TargetModel, grid_axes
+from .geometry import DomainModel, TargetModel, _map_nested, grid_axes
 
 __all__ = [
     "GridMap",
@@ -177,6 +186,16 @@ def _mesh_any(dom: DomainModel, shape):
 WINDING_PROBE_OFFSETS = (0.0, 0.7, 1.4, 2.1)
 
 
+def _exact_period(L: float):
+    """The chart period as an exact sympy number when one rounds back to the
+    float ``L`` (2*pi for the float 6.283185307179586), else ``L`` itself.
+    Shifting by the exact period lets sympy reduce sin(x + c + 2*pi) to
+    sin(x + c), so a periodic component has a shift difference of exactly 0
+    instead of float junk near 1e-17."""
+    exact = sp.nsimplify(L, [sp.pi])
+    return exact if float(exact) == L else L
+
+
 def _detect_winding(dom: DomainModel, exprs, require_constant: bool = False) -> np.ndarray:
     """Per-axis slope (phi(x + L e_i) - phi(x)) / L of each component, read
     at the first probe point.  With ``require_constant`` (``grid_fd`` maps,
@@ -186,10 +205,12 @@ def _detect_winding(dom: DomainModel, exprs, require_constant: bool = False) -> 
     n, m = len(exprs), dom.dim
     out = np.zeros((n, m))
     probes = [{c: 0.1 + 0.05 * k + off for k, c in enumerate(dom.coords)} for off in WINDING_PROBE_OFFSETS]
+    periods = [hi - lo for lo, hi in zip(dom.chart.lo, dom.chart.hi)]
+    shifts = [_exact_period(L) for L in periods]
     for a, e in enumerate(exprs):
         for i, c in enumerate(dom.coords):
-            L = dom.chart.hi[i] - dom.chart.lo[i]
-            shifted = e.subs(c, c + L)
+            L = periods[i]
+            shifted = e.subs(c, c + shifts[i])
             diff = sp.simplify(shifted - e)
             if diff == 0:
                 continue
@@ -220,6 +241,12 @@ class BundleSection:
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+
+    def __sub__(self, other: "BundleSection") -> "BundleSection":
+        exprs = None
+        if self.exprs is not None and other.exprs is not None:
+            exprs = [p - q for p, q in zip(self.exprs, other.exprs)]
+        return BundleSection(self.base, self.values - other.values, exprs)
 
 
 @dataclass
@@ -291,20 +318,60 @@ def scalar_laplacian(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
     return grid_laplacians(gmap, arr)
 
 
+# ---------------------------------------------------------------------------
+# derivative primitives: the only place where the two modes differ
+# (analytic_jet differentiates closed forms, grid_fd applies stencils)
+# ---------------------------------------------------------------------------
+
+
+def _require_exprs(exprs, what: str):
+    if exprs is None:
+        raise CapabilityError(f"{what} of an analytic_jet section needs its closed-form expressions")
+    return exprs
+
+
+def section_partials(gmap: GridMap, values: np.ndarray, exprs=None) -> np.ndarray:
+    """First partials of every component of a section: shape ``F + grid``
+    to ``F + (m,) + grid``.  analytic_jet differentiates the nested
+    closed-form ``exprs`` (required); grid_fd applies stencils to ``values``."""
+    if gmap.eval_mode == "analytic_jet":
+        xs = gmap.engine.xs
+        return gmap.eval_exprs(_map_nested(lambda e: [sp.diff(e, x) for x in xs],
+                                           _require_exprs(exprs, "partials")))
+    return grid_partials(gmap, values)
+
+
+def section_laplacians(gmap: GridMap, values: np.ndarray, exprs=None) -> np.ndarray:
+    """Domain Laplace-Beltrami of every component of a section, shape
+    ``F + grid``; closed forms in analytic_jet mode, stencils in grid_fd."""
+    if gmap.eval_mode == "analytic_jet":
+        return gmap.eval_exprs(_map_nested(gmap.engine.lap, _require_exprs(exprs, "Laplacian")))
+    return grid_laplacians(gmap, values)
+
+
 def dphi_values(gmap: GridMap) -> np.ndarray:
-    """dphi per node through the mode-appropriate route."""
+    """dphi^a_i per node: shape (n, m) + grid."""
     if gmap.eval_mode == "analytic_jet":
         return gmap.eval_exprs(gmap.engine.dphi)
     return map_partials(gmap)
 
 
+def differential(gmap: GridMap) -> MapDifferential:
+    """dphi per node, with its closed form in analytic_jet mode."""
+    exprs = gmap.engine.dphi if gmap.eval_mode == "analytic_jet" else None
+    return MapDifferential(gmap, dphi_values(gmap), exprs=exprs)
+
+
 def map_partials(gmap: GridMap) -> np.ndarray:
-    """dphi^a_i including the winding slope: shape (n, m) + grid."""
+    """Stencil dphi^a_i including the winding slope: shape (n, m) + grid."""
     return grid_partials(gmap, gmap.periodic_values) + gmap.winding[(...,) + (None,) * gmap.dom.dim]
 
 
 def map_second_partials(gmap: GridMap) -> np.ndarray:
-    """d2 phi^a_{ij}: the winding part is linear and drops out."""
+    """d2 phi^a_{ij}: shape (n, m, m) + grid; the winding part is linear and
+    drops out of the stencils."""
+    if gmap.eval_mode == "analytic_jet":
+        return gmap.eval_exprs(gmap.engine.d2phi)
     n, m = gmap.tgt.dim, gmap.dom.dim
     per = gmap.periodic_values
     hs = gmap.spacings
@@ -319,7 +386,10 @@ def map_second_partials(gmap: GridMap) -> np.ndarray:
 
 
 def map_laplacian(gmap: GridMap) -> np.ndarray:
-    """lap phi^a; the winding contributes only through the first-order term."""
+    """lap phi^a: shape (n,) + grid; on stencils the winding contributes only
+    through the first-order term."""
+    if gmap.eval_mode == "analytic_jet":
+        return gmap.eval_exprs(gmap.engine.lap_phi)
     out = grid_laplacians(gmap, gmap.periodic_values)
     if np.any(gmap.winding != 0.0):
         mesh = gmap.mesh
@@ -331,6 +401,21 @@ def map_laplacian(gmap: GridMap) -> np.ndarray:
                 for a in range(gmap.tgt.dim):
                     out[a] += coef * gmap.winding[a, k]
     return out
+
+
+def map_laplacian_partials(gmap: GridMap, lap_phi: np.ndarray) -> np.ndarray:
+    """d_i lap phi^a: shape (n, m) + grid; the closed-form lap phi in
+    analytic_jet mode, stencils of the node values ``lap_phi`` in grid_fd."""
+    exprs = gmap.engine.lap_phi if gmap.eval_mode == "analytic_jet" else None
+    return section_partials(gmap, lap_phi, exprs)
+
+
+def second_ff_partials(gmap: GridMap, sff: np.ndarray) -> np.ndarray:
+    """d_k nabla dphi^a_{ij}: shape (n, m, m, m) + grid with the derivative
+    index last; the closed-form second fundamental form in analytic_jet
+    mode, stencils of the node values ``sff`` in grid_fd."""
+    exprs = gmap.engine.second_ff if gmap.eval_mode == "analytic_jet" else None
+    return section_partials(gmap, sff, exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +442,11 @@ def a_term_values(eta, xi, ginv, d1, lap_phi, gam, s_t) -> np.ndarray:
     return out
 
 
-def grid_a_data(gmap: GridMap) -> tuple:
-    """The node arrays the grid A-term reads: g^{-1}, dphi, lap phi, Gamma, S."""
-    return (gmap.dom.metric_inv(*gmap.mesh), map_partials(gmap), map_laplacian(gmap),
+def a_term_data(gmap: GridMap) -> tuple:
+    """The node arrays the A-term reads after its two slots: g^{-1}, dphi,
+    lap phi, Gamma, S."""
+    return (gmap.dom.metric_inv(*gmap.mesh), dphi_values(gmap), map_laplacian(gmap),
             gmap.tgt.christoffel(*gmap.values), gmap.tgt.s_tensor(*gmap.values))
-
-
-def grid_a_term(gmap: GridMap, sec: np.ndarray, data: tuple):
-    """Stencil partials xi = d sec and A(sec, xi), the tower step below the
-    Laplacian; ``data`` is ``grid_a_data(gmap)``."""
-    xi = grid_partials(gmap, sec)
-    return xi, a_term_values(sec, xi, *data)
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +454,9 @@ def grid_a_term(gmap: GridMap, sec: np.ndarray, data: tuple):
 # ---------------------------------------------------------------------------
 
 
-def differential(gmap: GridMap) -> MapDifferential:
-    """dphi per node, via jets or stencils according to ``eval_mode``."""
-    if gmap.eval_mode == "analytic_jet":
-        eng = gmap.engine
-        return MapDifferential(gmap, gmap.eval_exprs(eng.dphi), exprs=eng.dphi)
-    return MapDifferential(gmap, map_partials(gmap))
-
-
 def second_fundamental_form(gmap: GridMap) -> np.ndarray:
     """nabla dphi^a_{ij} per node: shape (n, m, m) + grid."""
-    if gmap.eval_mode == "analytic_jet":
-        return gmap.eval_exprs(gmap.engine.second_ff)
-    n, m = gmap.tgt.dim, gmap.dom.dim
-    d1 = map_partials(gmap)
+    d1 = dphi_values(gmap)
     d2 = map_second_partials(gmap)
     mesh = gmap.mesh
     gam_dom = gmap.dom.christoffel(*mesh)
@@ -400,7 +468,9 @@ def second_fundamental_form(gmap: GridMap) -> np.ndarray:
 
 
 def tension(gmap: GridMap) -> BundleSection:
-    """tau^a = -lap phi^a + g^{ij} Gamma^a_{tb} phi^t_i phi^b_j."""
+    """tau^a = -lap phi^a + g^{ij} Gamma^a_{tb} phi^t_i phi^b_j; in
+    analytic_jet mode the closed form is kept, because the tower
+    differentiates it again."""
     if gmap.eval_mode == "analytic_jet":
         eng = gmap.engine
         return BundleSection(gmap, gmap.eval_exprs(eng.tension), exprs=eng.tension)
@@ -414,12 +484,8 @@ def tension(gmap: GridMap) -> BundleSection:
 def covariant_derivative(sigma: BundleSection) -> VGrid:
     """(covd sigma)^a_i = d_i sigma^a + Gamma^a_{bg} phi^b_i sigma^g."""
     gmap = sigma.base
-    if gmap.eval_mode == "analytic_jet" and sigma.exprs is not None:
-        eng = gmap.engine
-        exprs = eng.covd(sigma.exprs)
-        return VGrid(gmap, gmap.eval_exprs(exprs), exprs=exprs)
-    vals = covd_values(grid_partials(gmap, sigma.values), gmap.tgt.christoffel(*gmap.values),
-                       map_partials(gmap), sigma.values)
+    vals = covd_values(section_partials(gmap, sigma.values, sigma.exprs),
+                       gmap.tgt.christoffel(*gmap.values), dphi_values(gmap), sigma.values)
     return VGrid(gmap, vals)
 
 
@@ -430,13 +496,9 @@ def rough_laplacian(sigma: BundleSection) -> BundleSection:
         + sigma^t [ (lap phi^b) Gamma^a_{bt} - g^{ij} phi^b_j phi^w_i S^a_{bwt} ].
     """
     gmap = sigma.base
-    if gmap.eval_mode == "analytic_jet" and sigma.exprs is not None:
-        eng = gmap.engine
-        a_exprs = eng.a_term(sigma.exprs, eng.grad(sigma.exprs))
-        exprs = [eng._norm(eng.lap(s) + a) for s, a in zip(sigma.exprs, a_exprs)]
-        return BundleSection(gmap, gmap.eval_exprs(exprs), exprs=exprs)
-    _, a_vals = grid_a_term(gmap, sigma.values, grid_a_data(gmap))
-    return BundleSection(gmap, grid_laplacians(gmap, sigma.values) + a_vals)
+    xi = section_partials(gmap, sigma.values, sigma.exprs)
+    a_vals = a_term_values(sigma.values, xi, *a_term_data(gmap))
+    return BundleSection(gmap, section_laplacians(gmap, sigma.values, sigma.exprs) + a_vals)
 
 
 def weitzenbock_residual(gmap: GridMap) -> np.ndarray:
@@ -447,19 +509,17 @@ def weitzenbock_residual(gmap: GridMap) -> np.ndarray:
     Exact (up to roundoff) in analytic_jet mode; in grid_fd mode stencil
     truncation dominates and a capability warning is emitted.
     """
-    if gmap.eval_mode == "analytic_jet":
-        defect = gmap.eval_exprs(gmap.engine.weitzenbock_defect())
-        return np.max(np.abs(defect), axis=(0, 1))
-    warnings.warn("weitzenbock_residual in grid_fd mode is stencil-limited; expect looser tolerances")
+    if gmap.eval_mode == "grid_fd":
+        warnings.warn("weitzenbock_residual in grid_fd mode is stencil-limited; expect looser tolerances")
     mesh = gmap.mesh
     ginv = gmap.dom.metric_inv(*mesh)
     gam_dom = gmap.dom.christoffel(*mesh)
     ric = gmap.dom.ricci(*mesh)
     gam = gmap.tgt.christoffel(*gmap.values)
     riem = gmap.tgt.riemann(*gmap.values)
-    d1 = map_partials(gmap)
+    d1 = dphi_values(gmap)
     P = second_fundamental_form(gmap)
-    covP = np.moveaxis(grid_partials(gmap, P), 3, 1)  # [a, k, l, i] = D_k P[a, l, i]
+    covP = np.moveaxis(second_ff_partials(gmap, P), 3, 1)  # [a, k, l, i] = D_k P[a, l, i]
     covP = covP + np.einsum("abc...,bk...,cli...->akli...", gam, d1, P)
     covP -= np.einsum("pkl...,api...->akli...", gam_dom, P)
     covP -= np.einsum("pki...,alp...->akli...", gam_dom, P)

@@ -9,10 +9,14 @@ coordinate expansions with the v-variables and the E-tensor
 (``tau4_explicit`` and the reduced right-hand sides).  The two routes agree
 node-wise and serve as each other's oracle.
 
-Fourth-order curvature corrections: ``Omega_0``, ``Omega_1``, ``xi_1``, the
-codifferential expansion of ``Omega_1`` and the two evaluation paths for
-``lapbar Omega_0`` (section-Laplacian formula versus the tensorial Leibniz
-expansion) together build ``hat tau_4`` and the ES-4 tension field.
+Fourth-order curvature corrections: ``xi_1``, the codifferential expansion
+of ``Omega_1``, the trace term and the assembly of ``hat tau_4`` are one
+node-wise kernel, ``hat_tau4_values``, shared by closed-form maps (fed with
+evaluated leaves) and the pointwise latitude reduction.  ``Omega_0``,
+``Omega_1``, the two evaluation paths for ``lapbar Omega_0``
+(section-Laplacian formula versus the tensorial Leibniz expansion) and the
+direct codifferential of ``Omega_1`` stay symbolic, as oracles.  Together
+they build ``hat tau_4`` and the ES-4 tension field.
 """
 from __future__ import annotations
 
@@ -26,13 +30,17 @@ from .fields import (
     BundleSection,
     GridMap,
     VGrid,
+    a_term_data,
+    a_term_values,
+    covariant_derivative,
     covd_values,
     dphi_values,
-    grid_a_data,
-    grid_a_term,
     grid_laplacians,
+    grid_partials,
     map_partials,
     rough_laplacian,
+    second_fundamental_form,
+    section_partials,
     tension,
 )
 
@@ -40,6 +48,7 @@ __all__ = [
     "TensionTower",
     "ES4Terms",
     "a_term",
+    "top_a_term",
     "build_tower",
     "tau_even",
     "tau_odd",
@@ -48,6 +57,7 @@ __all__ = [
     "bitension_reference",
     "es4_terms",
     "hat_tau4",
+    "hat_tau4_values",
     "tau4_es",
     "MIN_NODES_PER_LEVEL",
 ]
@@ -95,6 +105,16 @@ def trace_R_sec_frame(ginv, riem, d1, x_sec, y_frame) -> np.ndarray:
     return np.einsum("ij...,adbc...,b...,ci...,dj...->a...", ginv, riem, x_sec, y_frame, d1)
 
 
+def nabla_r_apply_num(nabla_riem: np.ndarray, W, X, Y, Z) -> np.ndarray:
+    """[(nabla_W R)(X, Y) Z]^a = W^e X^b Y^c Z^d R^a_{dbc;e}."""
+    return np.einsum("adbce...,e...,b...,c...,d...->a...", nabla_riem, W, X, Y, Z)
+
+
+def curv_2form_values(riem, d1, u0) -> np.ndarray:
+    """T^a_{ij} = [R(dphi_i, dphi_j) tau]^a: shape (n, m, m) + node."""
+    return np.einsum("adbc...,bi...,cj...,d...->aij...", riem, d1, d1, u0)
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -102,12 +122,25 @@ def trace_R_sec_frame(ginv, riem, d1, x_sec, y_frame) -> np.ndarray:
 
 def a_term(u_prev: BundleSection, gmap: GridMap) -> BundleSection:
     """The A-functional applied to (u_prev, du_prev); linear in both slots."""
-    if gmap.eval_mode == "analytic_jet" and u_prev.exprs is not None:
-        eng = gmap.engine
-        exprs = eng.a_term(u_prev.exprs, eng.grad(u_prev.exprs))
+    xi = section_partials(gmap, u_prev.values, u_prev.exprs)
+    return BundleSection(gmap, a_term_values(u_prev.values, xi, *a_term_data(gmap)))
+
+
+def top_a_term(gmap: GridMap, tower: TensionTower) -> BundleSection:
+    """A_k = A(u_{k-1}, du_{k-1}) above the top level of an order-k tower.
+
+    analytic_jet mode evaluates the engine's closed form A_k, the one inside
+    the symbolic tau_{k+1}.  The reduced system pairs the two in its top row
+    (lap u_{k-1} = F^{k+1} + tau_{k+1}), and ``MapEngine.eval_on`` misevaluates
+    deep closed forms (README "Known defect"): on the circle map of
+    ``test_residual_decays_at_stencil_order[4]`` the closed-form A_3 is off by
+    up to 1.1e-2 where the A-term kernel is exact to 2e-15, so a kernel A_k
+    would break the identity by the evaluator's error.  grid_fd mode applies
+    the kernel."""
+    if gmap.eval_mode == "analytic_jet":
+        exprs = gmap.engine.a_of_level(tower.k)
         return BundleSection(gmap, gmap.eval_exprs(exprs), exprs=exprs)
-    _, vals = grid_a_term(gmap, u_prev.values, grid_a_data(gmap))
-    return BundleSection(gmap, vals)
+    return a_term(tower.u[-1], gmap)
 
 
 def check_tower_resolution(gmap: GridMap, k: int) -> None:
@@ -124,7 +157,7 @@ def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower
 
     In grid_fd mode the resolution policy (>= 16 nodes per axis and tower
     level) is enforced and an a-posteriori Richardson estimate of the top
-    level can be attached.
+    level can be attached (it stays None when the grid cannot be halved).
     """
     if k < 2:
         raise ConfigurationError("tower order must be >= 2")
@@ -144,28 +177,31 @@ def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower
 
 
 def _build_tower_fd(gmap: GridMap, k: int) -> TensionTower:
-    data = grid_a_data(gmap)
+    data = a_term_data(gmap)
     u = [tension(gmap)]
     v: list[VGrid] = []
     a: list[BundleSection] = []
     for _ in range(k - 1):
         prev = u[-1].values
-        xi, a_vals = grid_a_term(gmap, prev, data)
+        xi = grid_partials(gmap, prev)
+        a_vals = a_term_values(prev, xi, *data)
         v.append(VGrid(gmap, xi))
         a.append(BundleSection(gmap, a_vals))
         u.append(BundleSection(gmap, grid_laplacians(gmap, prev) + a_vals))
     return TensionTower(k, u, v, a)
 
 
-def _richardson_estimate(gmap: GridMap, k: int) -> float:
+def _richardson_estimate(gmap: GridMap, k: int) -> float | None:
+    """Top-level error estimate from the grid and its every-other-node
+    subsample; None when the subsample is too coarse for the tower."""
     if any(s % 2 or s < 2 * stencils.stencil_width(gmap.fd_order) for s in gmap.grid_shape):
-        return float("nan")
+        return None
     slicer = tuple([slice(None)] + [slice(None, None, 2)] * gmap.dom.dim)
     coarse = gmap.replace_values(gmap.values[slicer])
     try:
         check_tower_resolution(coarse, k)
     except ConfigurationError:
-        return float("nan")
+        return None
     top_f = _build_tower_fd(gmap, k).u[-1].values[slicer]
     top_c = _build_tower_fd(coarse, k).u[-1].values
     return float(np.max(np.abs(top_f - top_c)) / (2 ** gmap.fd_order - 1))
@@ -310,18 +346,92 @@ def _require_es4_mode(gmap: GridMap, what: str) -> None:
     gmap.tgt.require_jets(2, what)
 
 
+def hat_tau4_values(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, omega0, lapbar_omega0):
+    """xi_1, 2 xi_1 + 2 d* Omega_1 and hat tau_4 from node arrays (any
+    trailing node shape):
+
+    * ``xi_1 = -(nabla_{dphi_j} R)(R(dphi_i, dphi_j) tau, tau, dphi_i)``;
+    * ``2 xi_1 + 2 d* Omega_1 = -2 (L2 + L3 + L4 + L5 + L6)``, the
+      codifferential of Omega_1 expanded in a geodesic frame:
+      L2 = R((nabla_{dphi_i} R)(dphi_i, dphi_j, tau), tau) dphi_j,
+      L3 = R(R(tau, dphi_j) tau, tau) dphi_j,
+      L4 = R(R(dphi_i, nabla dphi(e_i, e_j)) tau, tau) dphi_j,
+      L5 = R(R(dphi_i, dphi_j) covd_i tau, tau) dphi_j,
+      L6 = R(R(dphi_i, dphi_j) tau, covd_i tau) dphi_j;
+    * ``hat tau_4 = -1/2 (2 xi_1 + 2 d* Omega_1 + lapbar Omega_0 + Tr R(dphi, Omega_0) dphi)``.
+
+    ``nabla_riem`` None stands for a target with nabla R = 0 (a space form):
+    xi_1 and L2 vanish and are not formed.  Frame pairs where g^{-1} is zero
+    at every node are skipped."""
+    m = d1.shape[1]
+    T = curv_2form_values(riem, d1, u0)
+    xi1 = np.zeros_like(u0)
+    L2 = np.zeros_like(u0)
+    L3 = np.zeros_like(u0)
+    L4 = np.zeros_like(u0)
+    L5 = np.zeros_like(u0)
+    L6 = np.zeros_like(u0)
+
+    def curv(X, Y, Z):
+        return curv_apply_num(riem, X, Y, Z)
+
+    for j in range(m):
+        for jp in range(m):
+            if not np.any(ginv[j, jp]):
+                continue
+            gjj = ginv[j, jp]
+            L3 += gjj * curv(curv(u0, d1[:, j], u0), u0, d1[:, jp])
+            for i in range(m):
+                for ip in range(m):
+                    if not np.any(ginv[i, ip]):
+                        continue
+                    gii = ginv[i, ip]
+                    if nabla_riem is not None:
+                        xi1 -= gii * gjj * nabla_r_apply_num(nabla_riem, d1[:, jp], T[:, i, j], u0, d1[:, ip])
+                        inner = nabla_r_apply_num(nabla_riem, d1[:, i], d1[:, ip], d1[:, j], u0)
+                        L2 += gii * gjj * curv(inner, u0, d1[:, jp])
+                    L4 += gii * gjj * curv(curv(d1[:, i], sff[:, ip, j], u0), u0, d1[:, jp])
+                    L5 += gii * gjj * curv(curv(d1[:, i], d1[:, j], cd_u0[:, ip]), u0, d1[:, jp])
+                    L6 += gii * gjj * curv(T[:, i, j], cd_u0[:, ip], d1[:, jp])
+    two_xi_dstar = -2.0 * (L2 + L3 + L4 + L5 + L6)
+    # Tr R(dphi, Omega_0) dphi = Sum_j R(dphi_j, Omega_0) dphi_j
+    tr = np.einsum("ij...,adbc...,bi...,c...,dj...->a...", ginv, riem, d1, omega0, d1)
+    return xi1, two_xi_dstar, -(two_xi_dstar + lapbar_omega0 + tr) / 2.0
+
+
+def _es4_parts(gmap: GridMap, cross_check_tol: float = 1e-7):
+    """Omega_0 (with its closed form), xi_1 and hat tau_4 values on a curved
+    target.  ``lapbar Omega_0`` is evaluated through the section-Laplacian
+    formula and through the tensorial Leibniz expansion, and the two must
+    agree within ``cross_check_tol`` (sup-norm, relative to scale)."""
+    _require_es4_mode(gmap, "hat_tau4")
+    eng = gmap.engine
+    lo_path_a = gmap.eval_exprs(eng.lapbar_omega0_rough())
+    lo_path_b = gmap.eval_exprs(eng.lapbar_omega0_expanded())
+    scale = max(1.0, float(np.max(np.abs(lo_path_a))))
+    gap = float(np.max(np.abs(lo_path_a - lo_path_b)))
+    if gap > cross_check_tol * scale:
+        raise NumericalContractError(
+            f"two lapbar Omega_0 evaluation paths disagree: sup gap {gap:.3e} (scale {scale:.3e})"
+        )
+    omega0 = BundleSection(gmap, gmap.eval_exprs(eng.omega0), exprs=eng.omega0)
+    tau = tension(gmap)
+    xi1, _, hat = hat_tau4_values(
+        gmap.dom.metric_inv(*gmap.mesh), dphi_values(gmap), second_fundamental_form(gmap),
+        gmap.tgt.riemann(*gmap.values), gmap.tgt.nabla_riemann(*gmap.values),
+        tau.values, covariant_derivative(tau).values, omega0.values, lo_path_a)
+    return omega0, xi1, hat
+
+
 def es4_terms(gmap: GridMap) -> ES4Terms:
     """Omega_0, Omega_1, xi_1 and hat tau_4 (with the two-path cross-check)."""
-    ht = hat_tau4(gmap)
     if gmap.tgt.is_curvature_free:
         zero = np.zeros_like(gmap.values)
         return ES4Terms(BundleSection(gmap, zero), np.zeros((gmap.dom.dim,) + zero.shape),
-                        BundleSection(gmap, zero.copy()), ht)
-    eng = gmap.engine
-    omega0 = BundleSection(gmap, gmap.eval_exprs(eng.omega0), exprs=eng.omega0)
-    omega1 = gmap.eval_exprs(eng.omega1)
-    xi1 = BundleSection(gmap, gmap.eval_exprs(eng.xi1), exprs=eng.xi1)
-    return ES4Terms(omega0, omega1, xi1, ht)
+                        BundleSection(gmap, zero.copy()), BundleSection(gmap, zero.copy()))
+    omega0, xi1, hat = _es4_parts(gmap)
+    return ES4Terms(omega0, gmap.eval_exprs(gmap.engine.omega1), BundleSection(gmap, xi1),
+                    BundleSection(gmap, hat))
 
 
 def hat_tau4(gmap: GridMap, cross_check_tol: float = 1e-7) -> BundleSection:
@@ -331,26 +441,9 @@ def hat_tau4(gmap: GridMap, cross_check_tol: float = 1e-7) -> BundleSection:
     """
     if gmap.tgt.is_curvature_free:
         return BundleSection(gmap, np.zeros_like(gmap.values))
-    _require_es4_mode(gmap, "hat_tau4")
-    eng = gmap.engine
-    lo_rough = eng.lapbar_omega0_rough()
-    lo_path_a = gmap.eval_exprs(lo_rough)
-    lo_path_b = gmap.eval_exprs(eng.lapbar_omega0_expanded())
-    scale = max(1.0, float(np.max(np.abs(lo_path_a))))
-    gap = float(np.max(np.abs(lo_path_a - lo_path_b)))
-    if gap > cross_check_tol * scale:
-        raise NumericalContractError(
-            f"two lapbar Omega_0 evaluation paths disagree: sup gap {gap:.3e} (scale {scale:.3e})"
-        )
-    exprs = eng.hat_tau4(lapbar_omega0=lo_rough)
-    return BundleSection(gmap, gmap.eval_exprs(exprs), exprs=exprs)
+    return BundleSection(gmap, _es4_parts(gmap, cross_check_tol)[2])
 
 
 def tau4_es(gmap: GridMap) -> BundleSection:
     """ES-4 tension field tau_4 + hat tau_4."""
-    t4 = tau_k(gmap, 4)
-    ht = hat_tau4(gmap)
-    exprs = None
-    if t4.exprs is not None and ht.exprs is not None:
-        exprs = [t4.exprs[a] + ht.exprs[a] for a in range(gmap.tgt.dim)]
-    return BundleSection(gmap, t4.values + ht.values, exprs=exprs)
+    return BundleSection(gmap, tau_k(gmap, 4).values + hat_tau4(gmap).values)

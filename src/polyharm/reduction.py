@@ -20,24 +20,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .errors import ChartDomainError, ConfigurationError, DegenerateInputError
 from .fields import (
-    BundleSection,
     GridMap,
+    differential,
     dphi_values,
     gamma_trace,
     grid_laplacians,
     grid_partials,
+    map_laplacian_partials,
     second_fundamental_form,
+    section_partials,
 )
 from .polytension import (
     TensionTower,
-    a_term,
     build_tower,
     fk_literal_values,
     tau_k,
+    top_a_term,
 )
 
 __all__ = [
@@ -108,13 +109,12 @@ def reduced_dimension(kind: str, k: int, m: int, n: int) -> int:
     raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
 
 
-def _tower_for_reduction(gmap: GridMap, k: int) -> tuple[TensionTower, BundleSection]:
-    """Tower levels u_0..u_{k-2} plus the top A-term A_{k-1}."""
+def _tower_for_reduction(gmap: GridMap, k: int) -> TensionTower:
+    """Tower levels u_0..u_{k-2}; the top A-term A_{k-1} is
+    ``top_a_term(gmap, tower)``, formed only where a right-hand side needs it."""
     if k < 3:
         raise ConfigurationError("reduction needs order k >= 3")
-    tower = build_tower(gmap, k - 1)
-    a_top = a_term(tower.u[k - 2], gmap)
-    return tower, a_top
+    return build_tower(gmap, k - 1)
 
 
 def _equator_precheck(gmap: GridMap) -> None:
@@ -131,7 +131,10 @@ def build_reduced(gmap: GridMap, k: int, kind: str = "plain") -> ReducedVector:
     """
     if kind not in KINDS:
         raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
-    tower, _ = _tower_for_reduction(gmap, k)
+    return _reduced_from_tower(gmap, k, kind, _tower_for_reduction(gmap, k))
+
+
+def _reduced_from_tower(gmap: GridMap, k: int, kind: str, tower: TensionTower) -> ReducedVector:
     u = [sec.values for sec in tower.u]
     v = [vg.values for vg in tower.v]
     names: list[str] = []
@@ -161,21 +164,19 @@ def build_reduced(gmap: GridMap, k: int, kind: str = "plain") -> ReducedVector:
     return ReducedVector(kind, k, names, blocks, gmap)
 
 
-def _commutator_values(gmap: GridMap, w: np.ndarray) -> np.ndarray:
-    """C_i(w) for a table w of shape (comp, m) + grid:
+def _commutator_values(gmap: GridMap, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """C_i(w) for a table w of shape (comp, m) + grid and its partials dw
+    (shape (comp, m, m) + grid, dw[c, k, j] = d_j w^c_k):
 
     C_i(w)^c = dg^{kj}/dx^i d_j w^c_k - (dg^{lj}/dx^i Gam^p_{lj}
                + g^{lj} dGam^p_{lj}/dx^i) w^c_p.
-    Zero on flat domain charts.
+    Zero on flat domain charts, where callers skip it.
     """
-    if gmap.dom.is_flat_euclidean:
-        return np.zeros_like(w)
     mesh = gmap.mesh
     dginv = gmap.dom.metric_inv_jet(*mesh)          # [k, j, i]
     ginv = gmap.dom.metric_inv(*mesh)
     gam = gmap.dom.christoffel(*mesh)               # [p, l, j]
     dgam = gmap.dom.christoffel_jet(*mesh)          # [p, l, j, i]
-    dw = grid_partials(gmap, w)                     # [c, k, j] = d_j w_k
     out = np.einsum("kji...,ckj...->ci...", dginv, dw)
     coef = np.einsum("lji...,plj...->pi...", dginv, gam)
     coef += np.einsum("lj...,plji...->pi...", ginv, dgam)
@@ -195,35 +196,30 @@ def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = Tr
     """The F-blocks of the second-order reduction, the shared linear
     commutator corrections, and the top-row tension source.
 
-    In analytic_jet mode the differential rows and commutator terms are
-    symbolic (exact); in grid_fd mode they come from stencils.
+    The differential rows and the commutator terms differentiate tower
+    levels, lap phi and dphi through the derivative primitives of
+    ``fields``: closed forms in analytic_jet mode, stencils in grid_fd mode.
     ``with_source=False`` skips the k-tension evaluation and leaves the
     source blocks zero (used by witnesses that exclude it)."""
     if kind not in KINDS:
         raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
-    tower, a_top = _tower_for_reduction(gmap, k)
+    tower = _tower_for_reduction(gmap, k)
     u = [sec.values for sec in tower.u]
     v = [vg.values for vg in tower.v]
     a = [sec.values for sec in tower.a]
-    fk = fk_literal_values(gmap, k, u, v, a_top.values)
+    fk = fk_literal_values(gmap, k, u, v, top_a_term(gmap, tower).values)
     tau = tau_k(gmap, k).values if with_source else np.zeros_like(u[0])
-    m = gmap.dom.dim
-    analytic = gmap.eval_mode == "analytic_jet"
-    eng = gmap.engine if analytic else None
+    flat = gmap.dom.is_flat_euclidean
 
     def diff_block(j: int) -> np.ndarray:
         """d(u_{j+1} - A_{j+1}) with components (n, m) + grid."""
-        if analytic:
-            u_e, a_e = eng.tower(k - 2)
-            exprs = [[sp.diff(u_e[j + 1][c] - a_e[j][c], eng.xs[i]) for i in range(m)]
-                     for c in range(gmap.tgt.dim)]
-            return gmap.eval_exprs(exprs)
-        return grid_partials(gmap, u[j + 1] - a[j])
+        row = tower.u[j + 1] - tower.a[j]
+        return section_partials(gmap, row.values, row.exprs)
 
-    def commutator(w_vals: np.ndarray, w_exprs) -> np.ndarray:
-        if analytic:
-            return gmap.eval_exprs(eng.lap_partial_commutator(w_exprs))
-        return _commutator_values(gmap, w_vals)
+    def commutator(w: np.ndarray, w_exprs) -> np.ndarray:
+        if flat:
+            return np.zeros_like(w)
+        return _commutator_values(gmap, w, section_partials(gmap, w, w_exprs))
 
     names: list[str] = []
     blocks: list[np.ndarray] = []
@@ -237,34 +233,25 @@ def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = Tr
         srcs.append(np.zeros_like(blocks[-1]) if src is None else np.asarray(src))
 
     lap_phi = _lap_phi_identity(gmap, tower)
-    d1 = dphi_values(gmap)
-    if analytic:
-        u_exprs, _ = eng.tower(k - 2)
-        v_exprs = [eng.grad(u_exprs[j]) for j in range(k - 2)]
-        d_lap_phi = gmap.eval_exprs([[sp.diff(eng.lap_phi[c], eng.xs[i]) for i in range(m)]
-                                     for c in range(gmap.tgt.dim)])
-    else:
-        v_exprs = [None] * (k - 2)
-        d_lap_phi = grid_partials(gmap, lap_phi)
+    dphi = differential(gmap)
+    d_lap_phi = map_laplacian_partials(gmap, lap_phi)
 
     if kind == "equator":
         _equator_precheck(gmap)
         push("F_f", lap_phi[-1][None])
-        dphi_n_exprs = [eng.dphi[-1]] if analytic else None
-        push("F_df", d_lap_phi[-1], lin=commutator(d1[-1][None], dphi_n_exprs)[0])
+        push("F_df", d_lap_phi[-1], lin=commutator(dphi.values, dphi.exprs)[-1])
         for j in range(k - 2):
             push(f"F_u{j + 1}", (u[j + 1] - a[j])[-1][None])
-            vn_exprs = [v_exprs[j][-1]] if analytic else None
-            push(f"F_v{j}", diff_block(j)[-1], lin=commutator(v[j][-1][None], vn_exprs)[0])
+            push(f"F_v{j}", diff_block(j)[-1], lin=commutator(v[j], tower.v[j].exprs)[-1])
         push("F_top", fk[-1][None], src=tau[-1][None])
         return BlockRHS(kind, k, names, blocks, lins, srcs)
 
     if kind == "extended":
         push("F_phi", lap_phi)
-        push("F_dphi", d_lap_phi, lin=commutator(d1, eng.dphi if analytic else None))
+        push("F_dphi", d_lap_phi, lin=commutator(dphi.values, dphi.exprs))
     for j in range(k - 2):
         push(f"F_u{j + 1}", u[j + 1] - a[j])
-        push(f"F_v{j}", diff_block(j), lin=commutator(v[j], v_exprs[j]))
+        push(f"F_v{j}", diff_block(j), lin=commutator(v[j], tower.v[j].exprs))
     push("F_top", fk, src=tau)
     return BlockRHS(kind, k, names, blocks, lins, srcs)
 
@@ -369,8 +356,8 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
         raise ConfigurationError("pair bound needs maps with identical winding")
     gs = gmap.grid_shape
 
-    t1, a1top = _tower_for_reduction(gmap, k)
-    t2, a2top = _tower_for_reduction(gmap2, k)
+    t1 = _tower_for_reduction(gmap, k)
+    t2 = _tower_for_reduction(gmap2, k)
     u1 = [s.values for s in t1.u]
     u2 = [s.values for s in t2.u]
     v1 = [s.values for s in t1.v]
@@ -411,8 +398,8 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
             best4 = rep4 if best4 is None or rep4.ratio > best4.ratio else best4
 
     # lemma 5: the top blocks
-    fk1 = fk_literal_values(gmap, k, u1, v1, a1top.values)
-    fk2 = fk_literal_values(gmap2, k, u2, v2, a2top.values)
+    fk1 = fk_literal_values(gmap, k, u1, v1, top_a_term(gmap, t1).values)
+    fk2 = fk_literal_values(gmap2, k, u2, v2, top_a_term(gmap2, t2).values)
     den5 = phi_d + dphi_d + sum(u_d) + sum(v_d) + du_top_d
     r5 = _sup_ratio(_abs_block(fk1 - fk2, gs), den5, mask)
 
@@ -455,7 +442,8 @@ def equator_bound(gmap: GridMap, k: int, window, vanish_tol: float = 1e-10) -> E
     if max_f > 1e-12:
         raise ConfigurationError(
             f"window is not equatorial: max |phi^n - pi/2| on W is {max_f:.3e}")
-    z = build_reduced(gmap, k, "equator")
+    tower = _tower_for_reduction(gmap, k)
+    z = _reduced_from_tower(gmap, k, "equator", tower)
     block_max = {name: float(np.max(_abs_block(b, gs)[w_mask]))
                  for name, b in zip(z.names, z.blocks)}
     max_on_w = max(block_max.values())
@@ -464,26 +452,18 @@ def equator_bound(gmap: GridMap, k: int, window, vanish_tol: float = 1e-10) -> E
     num = np.zeros(gs)
     for fb, lin in zip(rhs.blocks, rhs.linear_corrections):
         num = np.maximum(num, _abs_block(fb + lin, gs))
-    # bracket: |f| + |df| + |nabla df| + sum |u^n| + sum (|v^n| + |nabla v^n|) + |nabla u^n_{k-2}|;
-    # in analytic mode the derivative entries are symbolic so both sides of
-    # the ratio share one accuracy level even in exponentially small tails
+    # bracket: |f| + |df| + |nabla df| + sum |u^n| + sum (|v^n| + |nabla v^n|) + |nabla u^n_{k-2}|,
+    # each entry the max-norm over its components; in analytic_jet mode the
+    # derivative entries differentiate closed forms, so both sides of the
+    # ratio share one accuracy level even in exponentially small tails
     sff_n = _abs_block(second_fundamental_form(gmap)[-1], gs)
     den = np.zeros(gs)
     for name, b in zip(z.names, z.blocks):
         den += _abs_block(b, gs)
     den += sff_n
-    if gmap.eval_mode == "analytic_jet":
-        eng = gmap.engine
-        u_exprs, _ = eng.tower(k - 2)
-        for j in range(k - 2):
-            dv = [[sp.diff(u_exprs[j][-1], xi, xj) for xj in eng.xs] for xi in eng.xs]
-            den += _abs_block(gmap.eval_exprs(dv), gs)
-        du_top = [sp.diff(u_exprs[k - 2][-1], xi) for xi in eng.xs]
-        den += _abs_block(gmap.eval_exprs(du_top), gs)
-    else:
-        for name, b in zip(z.names, z.blocks):
-            if name.startswith("v") or name == f"u{k - 2}_n":
-                for d in grid_partials(gmap, b).reshape((-1,) + gs):
-                    den += np.abs(d)
+    for vg in tower.v[:k - 2]:
+        den += _abs_block(section_partials(gmap, vg.values, vg.exprs)[-1], gs)
+    top = tower.u[k - 2]
+    den += _abs_block(section_partials(gmap, top.values, top.exprs)[-1], gs)
     off = _sup_ratio(num, den, ~w_mask)
     return EquatorReport(max_on_w, block_max, off)

@@ -41,8 +41,9 @@ from .fields import (
 from .geometry import round_sphere_polar, sphere_cap_domain
 from .polytension import (
     build_tower,
-    curv_apply_num,
-    hat_tau4,
+    curv_2form_values,
+    hat_tau4_values,
+    tau4_es,
     tau_k,
     tau_k_from_tower,
 )
@@ -131,7 +132,7 @@ def energy_es4(gmap: GridMap) -> EnergyReport:
     main = np.einsum("ab...,a...,b...->...", h, u1, u1)
     d1 = dphi_values(gmap)
     riem = gmap.tgt.riemann(*gmap.values)
-    T = np.einsum("adbc...,bi...,cj...,d...->aij...", riem, d1, d1, tower.u[0].values)
+    T = curv_2form_values(riem, d1, tower.u[0].values)
     curv = np.einsum("ik...,jl...,ab...,aij...,bkl...->...", ginv, ginv, h, T, T)
     value = 0.5 * integrate(gmap, main) + 0.25 * integrate(gmap, curv)
     if value < -1e-12:
@@ -145,9 +146,7 @@ def _energy_any(gmap: GridMap, order) -> float:
 
 def _tau_any(gmap: GridMap, order) -> BundleSection:
     if order == "es4":
-        t4 = tau_k(gmap, 4)
-        ht = hat_tau4(gmap)
-        return BundleSection(gmap, t4.values + ht.values)
+        return tau4_es(gmap)
     return tau_k(gmap, int(order))
 
 
@@ -235,7 +234,6 @@ def _latitude_state(m: int, alpha):
     y = np.concatenate([np.repeat(np.asarray(point, dtype=float)[:, None], N, axis=1), alphas[None]])
     tgt.check_chart(y, what="latitude point")
     return {
-        "gt_inv": gt_inv,
         "ginv": ginv,
         "gam_dom": gam_dom,
         "d1": d1,
@@ -262,43 +260,17 @@ def _latitude_hat_tau4(st: dict) -> np.ndarray:
     nabla-R contributions vanish; Omega_0 is an equivariant constant section,
     hence lapbar Omega_0 = A(Omega_0, 0); the remaining codifferential terms
     are pointwise curvature algebra that must cancel on the equator family."""
-    gt_inv, ginv, d1, lap_phi = st["gt_inv"], st["ginv"], st["d1"], st["lap_phi"]
+    ginv, d1, lap_phi = st["ginv"], st["d1"], st["lap_phi"]
     gam, s_t, riem = st["gam"], st["s_t"], st["riem"]
-    m = d1.shape[1]
     zero = np.zeros(d1.shape)
     u0 = -lap_phi + gamma_trace(ginv, gam, d1)
     cd_u0 = covd_values(zero, gam, d1, u0)
-    P = (np.einsum("abc...,bi...,cj...->aij...", gam, d1, d1)
-         - np.einsum("kij...,ak...->aij...", st["gam_dom"], d1))
-    T = np.einsum("adbc...,bi...,cj...,d...->aij...", riem, d1, d1, u0)
+    sff = (np.einsum("abc...,bi...,cj...->aij...", gam, d1, d1)
+           - np.einsum("kij...,ak...->aij...", st["gam_dom"], d1))
+    T = curv_2form_values(riem, d1, u0)
     omega0 = np.einsum("ik...,jl...,adbc...,bi...,cj...,dkl...->a...", ginv, ginv, riem, d1, d1, T)
-
-    def curv(X, Y, Z):
-        return curv_apply_num(riem, X, Y, Z)
-
-    L3 = np.zeros_like(u0)
-    L4 = np.zeros_like(u0)
-    L5 = np.zeros_like(u0)
-    L6 = np.zeros_like(u0)
-    # ginv = gt_inv / sin^2(alpha) has the zero pattern of gt_inv at every angle
-    for j in range(m):
-        for jp in range(m):
-            if gt_inv[j, jp] == 0.0:
-                continue
-            gjj = ginv[j, jp]
-            L3 += gjj * curv(curv(u0, d1[:, j], u0), u0, d1[:, jp])
-            for i in range(m):
-                for ip in range(m):
-                    if gt_inv[i, ip] == 0.0:
-                        continue
-                    gii = ginv[i, ip]
-                    L4 += gii * gjj * curv(curv(d1[:, i], P[:, ip, j], u0), u0, d1[:, jp])
-                    L5 += gii * gjj * curv(curv(d1[:, i], d1[:, j], cd_u0[:, ip]), u0, d1[:, jp])
-                    L6 += gii * gjj * curv(T[:, i, j], cd_u0[:, ip], d1[:, jp])
-    two_xi_dstar = -2.0 * (L3 + L4 + L5 + L6)
     lapbar_omega0 = a_term_values(omega0, zero, ginv, d1, lap_phi, gam, s_t)
-    tr = np.einsum("ij...,adbc...,bi...,c...,dj...->a...", ginv, riem, d1, omega0, d1)
-    return -(two_xi_dstar + lapbar_omega0 + tr) / 2.0
+    return hat_tau4_values(ginv, d1, sff, riem, None, u0, cd_u0, omega0, lapbar_omega0)[2]
 
 
 def _latitude_values(m: int, order, alphas, tangential_tol: float = 1e-10) -> np.ndarray:

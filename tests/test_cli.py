@@ -9,7 +9,7 @@ import sympy as sp
 from polyharm import cli
 from polyharm import config as cf
 from polyharm import serialize as ser
-from polyharm.errors import ConfigurationError
+from polyharm.errors import ConfigurationError, NumericalContractError
 from polyharm.fields import GridMap
 from polyharm import geometry as geo
 
@@ -252,3 +252,39 @@ def test_gridmap_chart_mismatch(tmp_path):
     ser.save_gridmap(str(path), gm)
     with pytest.raises(ConfigurationError, match="do not match"):
         ser.load_gridmap(str(path), dom, geo.round_sphere_polar(3))
+
+
+def test_nonfinite_artifact_exits_5_without_writing(tmp_path):
+    # 1/y1**2 at the nodes where sin(x1) = 0 makes the tension -inf there
+    spec = {"command": "tension",
+            "domain": {"kind": "flat_torus", "dim": 1},
+            "target": {"kind": "user_metric", "dim": 1, "metric": [["1/y1**2"]]},
+            "map": {"exprs": ["sin(x1)"]}, "grid_shape": [8]}
+    with pytest.raises(NumericalContractError, match="non-finite"):
+        cli.run(_cfg(**spec))
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(spec))
+    out = tmp_path / "tension.txt"
+    assert cli.main(["tension", "--config", str(cfgf), "--out", str(out)]) == 5
+    assert not out.exists()
+
+
+def test_tolerances_rejected_unless_empty(tmp_path):
+    cfg = _cfg(command="tension", tolerances={"es4_gap": 1e-6}, **CIRCLE_SPHERE)
+    assert any("tolerances" in d for d in cf.validate(cfg))
+    with pytest.raises(ConfigurationError, match="tolerances"):
+        cli.run(cfg)
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"command": "tension", "tolerances": {"es4_gap": 1e-6}, **CIRCLE_SPHERE}))
+    assert cli.main(["tension", "--config", str(cfgf)]) == 2
+    # the key stays accepted and echoed when empty
+    empty = _cfg(command="tension", tolerances={}, **CIRCLE_SPHERE)
+    assert cf.validate(empty) == []
+    assert '"tolerances":{}' in cli.run(empty).render()
+
+
+def test_run_leaves_numpy_global_generator_alone():
+    np.random.seed(11)
+    before = np.random.get_state()[1].copy()
+    cli.run(_cfg(command="tension", seed=7, **CIRCLE_SPHERE))
+    assert np.array_equal(np.random.get_state()[1], before)

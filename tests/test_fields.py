@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from polyharm import fields as fl
 from polyharm import geometry as geo
 from polyharm import stencils
-from polyharm.errors import ChartDomainError, ConfigurationError
+from polyharm import reduction as red
+from polyharm.errors import CapabilityError, ChartDomainError, ConfigurationError
 
 from conftest import observed_order
 
@@ -56,6 +57,20 @@ def test_grid_fd_accepts_constant_winding(dom_t2, tgt_s2):
                                (2 * x1 + sp.cos(x2) / 5, sp.pi / 2 + sp.sin(x1 + x2) / 4),
                                eval_mode="grid_fd")
     assert np.max(np.abs(gm.winding - [[2.0, 0.0], [0.0, 0.0]])) <= 1e-12
+
+
+def test_winding_shift_uses_exact_period(dom_t2, tgt_s2):
+    # shifting by the float 2*pi left sin(x1 + x2) with a winding near -9e-18,
+    # and the extended witness then rejected this periodic map as winding
+    x1, x2 = dom_t2.coords
+    gm = fl.GridMap.from_exprs(dom_t2, tgt_s2, (16, 16),
+                               (sp.Rational(3, 10) + sp.sin(x1) / 5, sp.pi / 2 + sp.sin(x1 + x2) / 4))
+    assert np.all(gm.winding == 0.0)
+    assert np.isfinite(red.aronszajn_ratio(gm, 3, kind="extended").ratio)
+    fd = fl.GridMap.from_exprs(dom_t2, tgt_s2, (16, 16),
+                               (2 * x1 + sp.cos(x2) / 5, sp.pi / 2 + sp.sin(x1 + x2) / 4),
+                               eval_mode="grid_fd")
+    assert np.array_equal(fd.winding, [[2.0, 0.0], [0.0, 0.0]])
 
 
 def test_second_ff_totally_geodesic(harmonic_maps):
@@ -135,6 +150,15 @@ def test_rough_laplacian_flat_degenerates(map_flat_flat):
     comp = map_flat_flat.eval_exprs(
         [map_flat_flat.engine.lap(tau.exprs[a]) for a in range(2)])
     assert np.max(np.abs(rl - comp)) <= 1e-12
+
+
+@pytest.mark.parametrize("op", [fl.covariant_derivative, fl.rough_laplacian])
+def test_analytic_section_without_exprs_is_rejected(map_circle_sphere, op):
+    # an analytic_jet section is differentiated through its closed form; no
+    # silent fallback to stencils on the sample grid
+    sigma = fl.BundleSection(map_circle_sphere, fl.tension(map_circle_sphere).values)
+    with pytest.raises(CapabilityError, match="closed-form"):
+        op(sigma)
 
 
 def test_rough_laplacian_constant_zero(harmonic_maps):

@@ -28,6 +28,23 @@ def test_a_term_constant_map_zero(harmonic_maps):
     assert pt.a_term(sigma, gm).max_norm() == 0.0
 
 
+def test_a_term_without_exprs_is_rejected(map_circle_sphere):
+    sigma = fl.BundleSection(map_circle_sphere, fl.tension(map_circle_sphere).values)
+    with pytest.raises(CapabilityError, match="closed-form"):
+        pt.a_term(sigma, map_circle_sphere)
+
+
+@pytest.mark.parametrize("name", ["map_circle_sphere", "map_flat_sphere"])
+def test_numeric_a_term_matches_symbolic_tower(request, name):
+    # the numeric kernel on the closed-form partials against the engine's A_i
+    gm = request.getfixturevalue(name)
+    tower = pt.build_tower(gm, 3)
+    for i in range(2):
+        got = pt.a_term(tower.u[i], gm).values
+        want = tower.a[i].values
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
 def test_a_term_latitude_matches_section_laplacian(map_latitude):
     # u_1 = lap u_0 + A_1 = A_1 on the latitude inclusion (u_0 constant)
     tau = fl.tension(map_latitude)
@@ -254,11 +271,16 @@ def test_lapbar_omega0_two_paths(map_flat_sphere):
 
 
 def test_codifferential_expansion_vs_direct(map_flat_sphere):
-    # the six-term expansion against one covariant divergence of Omega_1
-    eng = map_flat_sphere.engine
-    lhs = map_flat_sphere.eval_exprs(eng.two_xi1_plus_two_dstar_omega1)
-    rhs = 2 * map_flat_sphere.eval_exprs(eng.xi1) \
-        + 2 * map_flat_sphere.eval_exprs(eng.dstar_omega1_direct())
+    # the numeric six-term expansion against one symbolic covariant divergence of Omega_1
+    gm = map_flat_sphere
+    eng = gm.engine
+    tau = fl.tension(gm)
+    omega0 = gm.eval_exprs(eng.omega0)
+    xi1, lhs, _ = pt.hat_tau4_values(
+        gm.dom.metric_inv(*gm.mesh), fl.dphi_values(gm), fl.second_fundamental_form(gm),
+        gm.tgt.riemann(*gm.values), gm.tgt.nabla_riemann(*gm.values), tau.values,
+        fl.covariant_derivative(tau).values, omega0, np.zeros_like(omega0))
+    rhs = 2 * xi1 + 2 * gm.eval_exprs(eng.dstar_omega1_direct())
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, float(np.max(np.abs(rhs))))
 
 
