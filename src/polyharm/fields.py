@@ -288,10 +288,12 @@ def grid_partials(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_laplacians(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
+def _laplace_beltrami(gmap: GridMap, arr: np.ndarray, slope: np.ndarray | None = None) -> np.ndarray:
     """Domain Laplace-Beltrami (geometer's sign) of every component of a
-    periodic array of shape ``F + grid``; g^{-1} and the domain Christoffels
-    are evaluated once for all components."""
+    periodic array of shape ``F + grid``; g^{-1} and the first-order
+    coefficients g^{ij} Gamma^k_{ij} are evaluated once for all components.
+    ``slope`` (shape ``F + (m,)``) adds the Laplacian of a linear part with
+    those constant partials, which only the first-order term sees."""
     gmap.require_fd_grid()
     mesh = gmap.mesh
     hs = gmap.spacings
@@ -306,11 +308,21 @@ def grid_laplacians(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
             if np.all(gij == 0):
                 continue
             out -= gij * stencils.partial2(arr, lead + i, lead + j, hs[i], hs[j], gmap.fd_order)
-    for k in range(m):
-        coef = np.einsum("ij...,ij...->...", ginv, gam[k])
+    coefs = [np.einsum("ij...,ij...->...", ginv, gam[k]) for k in range(m)]
+    for k, coef in enumerate(coefs):
         if np.any(coef != 0):
             out += coef * stencils.diff1(arr, lead + k, hs[k], gmap.fd_order)
+    if slope is not None and np.any(slope != 0.0):
+        for k, coef in enumerate(coefs):
+            if np.any(coef != 0):
+                out += coef * slope[..., k][(...,) + (None,) * m]
     return out
+
+
+def grid_laplacians(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
+    """Domain Laplace-Beltrami (geometer's sign) of every component of a
+    periodic array of shape ``F + grid``."""
+    return _laplace_beltrami(gmap, arr)
 
 
 def scalar_laplacian(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
@@ -390,17 +402,7 @@ def map_laplacian(gmap: GridMap) -> np.ndarray:
     through the first-order term."""
     if gmap.eval_mode == "analytic_jet":
         return gmap.eval_exprs(gmap.engine.lap_phi)
-    out = grid_laplacians(gmap, gmap.periodic_values)
-    if np.any(gmap.winding != 0.0):
-        mesh = gmap.mesh
-        ginv = gmap.dom.metric_inv(*mesh)
-        gam = gmap.dom.christoffel(*mesh)
-        for k in range(gmap.dom.dim):
-            coef = np.einsum("ij...,ij...->...", ginv, gam[k])
-            if np.any(coef != 0):
-                for a in range(gmap.tgt.dim):
-                    out[a] += coef * gmap.winding[a, k]
-    return out
+    return _laplace_beltrami(gmap, gmap.periodic_values, gmap.winding)
 
 
 def map_laplacian_partials(gmap: GridMap, lap_phi: np.ndarray) -> np.ndarray:
@@ -423,9 +425,17 @@ def second_ff_partials(gmap: GridMap, sff: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def frame_trace(ginv, x, y) -> np.ndarray:
+    """g^{ij} x^b_i y^c_j for two frame-indexed arrays of shape (n_x, m) +
+    node and (n_y, m) + node: shape (n_x, n_y) + node.  The g-traced
+    kernels contract their two frame slots here first, so none of their
+    contractions carries more than three operands."""
+    return np.einsum("ij...,bi...,cj...->bc...", ginv, x, y)
+
+
 def gamma_trace(ginv, gam, d1) -> np.ndarray:
     """g^{ij} Gamma^a_{tb} dphi^t_i dphi^b_j."""
-    return np.einsum("ij...,atb...,ti...,bj...->a...", ginv, gam, d1, d1)
+    return np.einsum("atb...,tb...->a...", gam, frame_trace(ginv, d1, d1))
 
 
 def covd_values(v_vals, gam, d1, u_vals) -> np.ndarray:
@@ -436,10 +446,15 @@ def covd_values(v_vals, gam, d1, u_vals) -> np.ndarray:
 def a_term_values(eta, xi, ginv, d1, lap_phi, gam, s_t) -> np.ndarray:
     """Numeric A^a(eta, xi):  -2 g^{ij} xi^t_i dphi^b_j Gamma^a_{bt}
     + eta^t [ lap(phi^b) Gamma^a_{bt} - g^{ij} dphi^b_j dphi^w_i S^a_{bwt} ]."""
-    out = -2.0 * np.einsum("ij...,ti...,bj...,abt...->a...", ginv, xi, d1, gam)
+    out = -2.0 * np.einsum("abt...,tb...->a...", gam, frame_trace(ginv, xi, d1))
     out += np.einsum("t...,b...,abt...->a...", eta, lap_phi, gam)
-    out -= np.einsum("t...,ij...,bj...,wi...,abwt...->a...", eta, ginv, d1, d1, s_t)
+    out -= np.einsum("t...,wb...,abwt...->a...", eta, frame_trace(ginv, d1, d1), s_t)
     return out
+
+
+def trace_R_dphi_frame(ginv, riem, d1) -> np.ndarray:
+    """Sum_k R(dphi_k, dphi_i) dphi_k for every frame index i: shape (n, m) + node."""
+    return np.einsum("adbc...,bd...,ci...->ai...", riem, frame_trace(ginv, d1, d1), d1)
 
 
 def a_term_data(gmap: GridMap) -> tuple:
@@ -524,7 +539,7 @@ def weitzenbock_residual(gmap: GridMap) -> np.ndarray:
     covP -= np.einsum("pkl...,api...->akli...", gam_dom, P)
     covP -= np.einsum("pki...,alp...->akli...", gam_dom, P)
     trace = np.einsum("kl...,akli...->ai...", ginv, covP)
-    curv = np.einsum("kl...,bk...,ci...,dl...,adbc...->ai...", ginv, d1, d1, d1, riem)
+    curv = trace_R_dphi_frame(ginv, riem, d1)
     ric_mixed = np.einsum("jk...,ki...->ji...", ginv, ric)
     dric = np.einsum("aj...,ji...->ai...", d1, ric_mixed)
     tau = tension(gmap)

@@ -35,6 +35,8 @@ from .fields import (
     covariant_derivative,
     covd_values,
     dphi_values,
+    frame_trace,
+    gamma_trace,
     grid_laplacians,
     grid_partials,
     map_partials,
@@ -58,6 +60,7 @@ __all__ = [
     "es4_terms",
     "hat_tau4",
     "hat_tau4_values",
+    "omega0_values",
     "tau4_es",
     "MIN_NODES_PER_LEVEL",
 ]
@@ -92,17 +95,17 @@ def curv_apply_num(riem: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
 
 def trace_R_sec_dphi(ginv, riem, d1, sec) -> np.ndarray:
     """Sum_j R(sec, dphi_j) dphi_j, both frame slots g-traced."""
-    return np.einsum("ij...,adbc...,b...,ci...,dj...->a...", ginv, riem, sec, d1, d1)
+    return np.einsum("adbc...,b...,cd...->a...", riem, sec, frame_trace(ginv, d1, d1))
 
 
 def trace_R_frame_sec(ginv, riem, d1, x_frame, y_sec) -> np.ndarray:
     """Sum_j R(X_j, Y) dphi_j for a frame-indexed first slot X (shape (n, m) + node)."""
-    return np.einsum("ij...,adbc...,bi...,c...,dj...->a...", ginv, riem, x_frame, y_sec, d1)
+    return np.einsum("adbc...,c...,bd...->a...", riem, y_sec, frame_trace(ginv, x_frame, d1))
 
 
 def trace_R_sec_frame(ginv, riem, d1, x_sec, y_frame) -> np.ndarray:
     """Sum_j R(X, Y_j) dphi_j for a frame-indexed second slot."""
-    return np.einsum("ij...,adbc...,b...,ci...,dj...->a...", ginv, riem, x_sec, y_frame, d1)
+    return np.einsum("adbc...,b...,cd...->a...", riem, x_sec, frame_trace(ginv, y_frame, d1))
 
 
 def nabla_r_apply_num(nabla_riem: np.ndarray, W, X, Y, Z) -> np.ndarray:
@@ -113,6 +116,14 @@ def nabla_r_apply_num(nabla_riem: np.ndarray, W, X, Y, Z) -> np.ndarray:
 def curv_2form_values(riem, d1, u0) -> np.ndarray:
     """T^a_{ij} = [R(dphi_i, dphi_j) tau]^a: shape (n, m, m) + node."""
     return np.einsum("adbc...,bi...,cj...,d...->aij...", riem, d1, d1, u0)
+
+
+def omega0_values(ginv, riem, d1, T) -> np.ndarray:
+    """Omega_0 = g^{ik} g^{jl} R(dphi_i, dphi_j) T_{kl} for a 2-form T of shape
+    (n, m, m) + node; both frame indices of dphi are raised once, so each
+    contraction carries at most three operands."""
+    up = np.einsum("ik...,bi...->bk...", ginv, d1)
+    return np.einsum("adbc...,bcd...->a...", riem, np.einsum("bk...,cl...,dkl...->bcd...", up, up, T))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +189,8 @@ def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower
 
 def _build_tower_fd(gmap: GridMap, k: int) -> TensionTower:
     data = a_term_data(gmap)
-    u = [tension(gmap)]
+    ginv, d1, lap, gam, _ = data
+    u = [BundleSection(gmap, -lap + gamma_trace(ginv, gam, d1))]
     v: list[VGrid] = []
     a: list[BundleSection] = []
     for _ in range(k - 1):
@@ -395,7 +407,7 @@ def hat_tau4_values(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, omega0, lapbar_o
                     L6 += gii * gjj * curv(T[:, i, j], cd_u0[:, ip], d1[:, jp])
     two_xi_dstar = -2.0 * (L2 + L3 + L4 + L5 + L6)
     # Tr R(dphi, Omega_0) dphi = Sum_j R(dphi_j, Omega_0) dphi_j
-    tr = np.einsum("ij...,adbc...,bi...,c...,dj...->a...", ginv, riem, d1, omega0, d1)
+    tr = trace_R_frame_sec(ginv, riem, d1, d1, omega0)
     return xi1, two_xi_dstar, -(two_xi_dstar + lapbar_omega0 + tr) / 2.0
 
 

@@ -38,11 +38,12 @@ from .fields import (
     gamma_trace,
     tension,
 )
-from .geometry import round_sphere_polar, sphere_cap_domain
+from .geometry import DomainModel, grid_axes, round_sphere_polar, sphere_cap_domain
 from .polytension import (
     build_tower,
     curv_2form_values,
     hat_tau4_values,
+    omega0_values,
     tau4_es,
     tau_k,
     tau_k_from_tower,
@@ -82,12 +83,21 @@ class EnergyReport:
 def _volume_weights(gmap: GridMap) -> np.ndarray:
     if not gmap.is_periodic:
         raise ConfigurationError("energies need a periodic domain grid (torus quadrature)")
-    g = gmap.dom.metric(*gmap.mesh)
-    node_shape = gmap.grid_shape
-    gmat = np.moveaxis(g.reshape((gmap.dom.dim, gmap.dom.dim, -1)), -1, 0)
-    det = np.linalg.det(gmat).reshape(node_shape)
-    cell = float(np.prod(gmap.spacings))
-    return np.sqrt(det) * cell
+    return _torus_weights(gmap.dom, gmap.grid_shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _torus_weights(dom: DomainModel, grid_shape: tuple[int, ...]) -> np.ndarray:
+    """sqrt(det g) times the cell volume at the nodes of a periodic grid, as
+    a read-only array: a flow never changes its domain grid, so all its
+    energies share one evaluation."""
+    g = dom.metric(*np.meshgrid(*grid_axes(dom, grid_shape), indexing="ij"))
+    gmat = np.moveaxis(g.reshape((dom.dim, dom.dim, -1)), -1, 0)
+    det = np.linalg.det(gmat).reshape(grid_shape)
+    cell = float(np.prod([(hi - lo) / n for lo, hi, n in zip(dom.chart.lo, dom.chart.hi, grid_shape)]))
+    out = np.sqrt(det) * cell
+    out.flags.writeable = False
+    return out
 
 
 def integrate(gmap: GridMap, scalar: np.ndarray) -> float:
@@ -267,8 +277,7 @@ def _latitude_hat_tau4(st: dict) -> np.ndarray:
     cd_u0 = covd_values(zero, gam, d1, u0)
     sff = (np.einsum("abc...,bi...,cj...->aij...", gam, d1, d1)
            - np.einsum("kij...,ak...->aij...", st["gam_dom"], d1))
-    T = curv_2form_values(riem, d1, u0)
-    omega0 = np.einsum("ik...,jl...,adbc...,bi...,cj...,dkl...->a...", ginv, ginv, riem, d1, d1, T)
+    omega0 = omega0_values(ginv, riem, d1, curv_2form_values(riem, d1, u0))
     lapbar_omega0 = a_term_values(omega0, zero, ginv, d1, lap_phi, gam, s_t)
     return hat_tau4_values(ginv, d1, sff, riem, None, u0, cd_u0, omega0, lapbar_omega0)[2]
 

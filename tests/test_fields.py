@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from polyharm import fields as fl
 from polyharm import geometry as geo
 from polyharm import stencils
+from polyharm import polytension as pt
 from polyharm import reduction as red
 from polyharm.errors import CapabilityError, ChartDomainError, ConfigurationError
 
@@ -274,6 +275,69 @@ def test_grid_rough_laplacian_matches_literal_formula(winding_fd_map):
     want -= np.einsum("t...,ij...,bj...,wi...,abwt...->a...", sigma.values, ginv, d1, d1, s_t)
     got = fl.rough_laplacian(sigma).values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _literal_a_term(eta, xi, ginv, d1, lap_phi, gam, s_t):
+    out = -2.0 * np.einsum("ij...,ti...,bj...,abt...->a...", ginv, xi, d1, gam)
+    out += np.einsum("t...,b...,abt...->a...", eta, lap_phi, gam)
+    out -= np.einsum("t...,ij...,bj...,wi...,abwt...->a...", eta, ginv, d1, d1, s_t)
+    return out
+
+
+# every pairwise g-trace kernel against the one-call einsum it replaced:
+# (kernel, literal oracle, operand shapes as (kind, fiber axes))
+PAIRWISE_KERNELS = {
+    "gamma_trace": (
+        fl.gamma_trace,
+        lambda g, gam, d1: np.einsum("ij...,atb...,ti...,bj...->a...", g, gam, d1, d1),
+        ("g", "nnn", "nm")),
+    "a_term_values": (fl.a_term_values, _literal_a_term, ("n", "nm", "g", "nm", "n", "nnn", "nnnn")),
+    "trace_R_sec_dphi": (
+        pt.trace_R_sec_dphi,
+        lambda g, r, d1, sec: np.einsum("ij...,adbc...,b...,ci...,dj...->a...", g, r, sec, d1, d1),
+        ("g", "nnnn", "nm", "n")),
+    "trace_R_frame_sec": (
+        pt.trace_R_frame_sec,
+        lambda g, r, d1, x, y: np.einsum("ij...,adbc...,bi...,c...,dj...->a...", g, r, x, y, d1),
+        ("g", "nnnn", "nm", "nm", "n")),
+    "trace_R_sec_frame": (
+        pt.trace_R_sec_frame,
+        lambda g, r, d1, x, y: np.einsum("ij...,adbc...,b...,ci...,dj...->a...", g, r, x, y, d1),
+        ("g", "nnnn", "nm", "n", "nm")),
+    "trace_R_dphi_frame": (
+        fl.trace_R_dphi_frame,
+        lambda g, r, d1: np.einsum("kl...,bk...,ci...,dl...,adbc...->ai...", g, d1, d1, d1, r),
+        ("g", "nnnn", "nm")),
+    "omega0_values": (
+        pt.omega0_values,
+        lambda g, r, d1, T: np.einsum("ik...,jl...,adbc...,bi...,cj...,dkl...->a...", g, g, r, d1, d1, T),
+        ("g", "nnnn", "nm", "nmm")),
+}
+
+
+@pytest.mark.parametrize("node", [(), (1,), (125,), (8, 8)], ids=str)
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2), (4, 3)])
+def test_pairwise_kernels_match_literal_einsum(n, m, node):
+    rng = np.random.default_rng(1000 * n + 10 * m + len(node))
+    for name, (kernel, literal, kinds) in PAIRWISE_KERNELS.items():
+        ops = []
+        for kind in kinds:
+            if kind == "g":
+                a = rng.standard_normal((m, m) + node)
+                ops.append(a + np.swapaxes(a, 0, 1))
+            else:
+                ops.append(rng.standard_normal(tuple(n if c == "n" else m for c in kind) + node))
+        want = literal(*ops)
+        got = kernel(*ops)
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+        # a NaN anywhere in any operand must reach the output: the latitude
+        # non-finite guard and the CLI's exit code 5 rely on it
+        for i in range(len(ops)):
+            poisoned = list(ops)
+            poisoned[i] = ops[i].copy()
+            poisoned[i].flat[rng.integers(ops[i].size)] = np.nan
+            assert np.any(np.isnan(kernel(*poisoned))), (name, i)
 
 
 def test_weitzenbock_flat_affine(harmonic_maps):
