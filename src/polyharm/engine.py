@@ -4,14 +4,14 @@ The engine keeps sympy expressions in the domain coordinates only for what
 is differentiated again or serves as a symbolic oracle: the differential,
 lap phi and the second fundamental form, the tension tower with its A-terms
 and partials, both assemblies of tau_k (the covariant recursion and the
-literal F^k), Omega_0 and Omega_1, and the two evaluation paths of
-lapbar Omega_0 together with the direct codifferential of Omega_1.
-Quantities that nothing differentiates afterwards (covariant derivatives,
-section Laplacians, the Weitzenboeck defect, xi_1 and hat tau_4, the
+literal F^k), Omega_0, Omega_1 and the tensorial Leibniz expansion of
+covd Omega_0.  Quantities that nothing differentiates afterwards (covariant
+derivatives, section Laplacians, codifferentials, hence both lapbar Omega_0
+paths and d* Omega_1, the Weitzenboeck defect, xi_1 and hat tau_4, the
 reduced-system blocks) are assembled from evaluated leaves by the numeric
 kernels in ``fields`` and ``polytension``.  Derivatives are symbolic, hence
-exact; grids only enter at evaluation time through cached, vectorized
-``lambdify`` calls.
+exact; grids only enter at evaluation time through cached
+``geometry.lambdify_tensor`` callables.
 
 Target-model tensors are computed once per model in target coordinates and
 composed with the map expression here.  On purely rational data (e.g. the
@@ -23,27 +23,12 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
 import sympy as sp
 
 from .errors import CapabilityError
-from .geometry import DomainModel, TargetModel
+from .geometry import DomainModel, TargetModel, _flatten, _nesting_shape, _sym_zeros, lambdify_tensor
 
 __all__ = ["MapEngine"]
-
-
-def _nested(shape, fill=None):
-    if not shape:
-        return sp.S.Zero if fill is None else fill
-    return [_nested(shape[1:], fill) for _ in range(shape[0])]
-
-
-def _flatten(obj, out):
-    if isinstance(obj, (list, tuple)):
-        for o in obj:
-            _flatten(o, out)
-    else:
-        out.append(obj)
 
 
 class MapEngine:
@@ -157,7 +142,7 @@ class MapEngine:
     @functools.cached_property
     def second_ff(self):
         """nabla dphi^a_{ij} = d2 phi - Gam_dom^k_{ij} dphi^a_k + Gamma^a_{bc} dphi^b_i dphi^c_j."""
-        out = _nested((self.n, self.m, self.m))
+        out = _sym_zeros((self.n, self.m, self.m))
         for a in range(self.n):
             for i in range(self.m):
                 for j in range(i, self.m):
@@ -282,18 +267,6 @@ class MapEngine:
                 out[a] += gij * term[a]
         return out
 
-    def trace_R_dphi(self, sec):
-        """Sum_j R(sec, dphi(e_j)) dphi(e_j) with both frame slots g-traced."""
-        out = [sp.S.Zero] * self.n
-        for i, j, gij in self.trace_pairs():
-            Xi = sec
-            Yi = [self.dphi[c][i] for c in range(self.n)]
-            Zj = [self.dphi[d][j] for d in range(self.n)]
-            term = self.curv_apply(Xi, Yi, Zj)
-            for a in range(self.n):
-                out[a] += gij * term[a]
-        return out
-
     # -- higher tension fields: covariant assembly ---------------------------------
 
     def tau_k(self, k: int):
@@ -312,7 +285,7 @@ class MapEngine:
             return self.tension
         u, _ = self.tower(k - 1)
         out = list(u[k - 1])
-        top_minus = self.trace_R_dphi(u[k - 2])
+        top_minus = self.trace_R(X=u[k - 2], Y_frame=self.dphi)
         for a in range(self.n):
             out[a] -= top_minus[a]
         s = k // 2
@@ -347,20 +320,6 @@ class MapEngine:
                         for d in range(self.n):
                             if self.riemann_c[a][b][g_][d] != 0:
                                 e += gij * u_sec[d] * v_tab[g_][i] * self.dphi[b][j] * self.riemann_c[a][b][g_][d]
-            out.append(e)
-        return out
-
-    def _term_R_top(self, u_sec):
-        """-u^d <dphi^g, dphi^b> R^a_{bgd}."""
-        out = []
-        for a in range(self.n):
-            e = sp.S.Zero
-            for i, j, gij in self.trace_pairs():
-                for b in range(self.n):
-                    for g_ in range(self.n):
-                        for d in range(self.n):
-                            if self.riemann_c[a][b][g_][d] != 0:
-                                e -= gij * u_sec[d] * self.dphi[g_][i] * self.dphi[b][j] * self.riemann_c[a][b][g_][d]
             out.append(e)
         return out
 
@@ -407,9 +366,9 @@ class MapEngine:
         a_top = self.a_of_level(k - 1)
         v = {i: self.grad(u[i]) for i in range(max(k - 2, 1))}
         out = [-a_top[al] for al in range(self.n)]
-        top = self._term_R_top(u[k - 2])
+        top = self._term_R_uv(u[k - 2], self.dphi)
         for al in range(self.n):
-            out[al] += top[al]
+            out[al] -= top[al]
         s = k // 2
         if k % 2 == 0:
             for l in range(1, s):
@@ -445,7 +404,7 @@ class MapEngine:
     def curv_2form(self):
         """T_{ij} = R(dphi_i, dphi_j) tau: components [i][j][a]."""
         u0 = self.tension
-        out = _nested((self.m, self.m, self.n))
+        out = _sym_zeros((self.m, self.m, self.n))
         for i in range(self.m):
             for j in range(self.m):
                 Xi = [self.dphi[b][i] for b in range(self.n)]
@@ -472,7 +431,7 @@ class MapEngine:
         """Omega_1(d/dx^i) = R(R(dphi_i, dphi_j) tau, tau) dphi_j: [i][a]."""
         T = self.curv_2form
         u0 = self.tension
-        out = _nested((self.m, self.n))
+        out = _sym_zeros((self.m, self.n))
         for i in range(self.m):
             acc = [sp.S.Zero] * self.n
             for j, jp, gjj in self.trace_pairs():
@@ -497,26 +456,6 @@ class MapEngine:
             out.append(e)
         return out
 
-    def dstar_omega1_direct(self):
-        """Independent codifferential: d* w = -g^{kl} [ d_k w_l^a
-        + Gamma^a_{bc} dphi^b_k w_l^c - Gamma^p_{kl} w_p^a ]."""
-        w = self.omega1
-        out = []
-        for a in range(self.n):
-            e = sp.S.Zero
-            for k, l, gkl in self.trace_pairs():
-                inner = sp.diff(w[l][a], self.xs[k])
-                for b in range(self.n):
-                    for c in range(self.n):
-                        if self.gamma_c[a][b][c] != 0:
-                            inner += self.gamma_c[a][b][c] * self.dphi[b][k] * w[l][c]
-                for p in range(self.m):
-                    if self.gam_dom[p][k][l] != 0:
-                        inner -= self.gam_dom[p][k][l] * w[p][a]
-                e -= gkl * inner
-            out.append(e)
-        return out
-
     @functools.cached_property
     def nabla_omega0_tensorial(self):
         """(covd_l Omega_0) through the Leibniz expansion of the double
@@ -527,7 +466,7 @@ class MapEngine:
         cd_u0 = self.covd(u0)
         T = self.curv_2form
         P = self.second_ff
-        out = _nested((self.m, self.n))
+        out = _sym_zeros((self.m, self.n))
         for l in range(self.m):
             acc = [sp.S.Zero] * self.n
             dphil = [self.dphi[e][l] for e in range(self.n)]
@@ -552,59 +491,19 @@ class MapEngine:
             out[l] = acc
         return out
 
-    def lapbar_omega0_expanded(self):
-        """lapbar Omega_0 via one covariant derivative of the tensorial
-        first-derivative expansion (the 'path (b)' evaluation)."""
-        V = self.nabla_omega0_tensorial
-        out = []
-        for a in range(self.n):
-            e = sp.S.Zero
-            for k, l, gkl in self.trace_pairs():
-                inner = sp.diff(V[l][a], self.xs[k])
-                for b in range(self.n):
-                    for c in range(self.n):
-                        if self.gamma_c[a][b][c] != 0:
-                            inner += self.gamma_c[a][b][c] * self.dphi[b][k] * V[l][c]
-                for p in range(self.m):
-                    if self.gam_dom[p][k][l] != 0:
-                        inner -= self.gam_dom[p][k][l] * V[p][a]
-                e -= gkl * inner
-            out.append(self._norm(e))
-        return out
-
-    def lapbar_omega0_rough(self):
-        """lapbar Omega_0 via the section-Laplacian formula applied to the
-        Omega_0 components (the 'path (a)' evaluation): lap + A(., grad .)."""
-        sec = self.omega0
-        return [self._norm(self.lap(e) + a) for e, a in zip(sec, self.a_term(sec, self.grad(sec)))]
-
     # -- evaluation ---------------------------------------------------------------------
 
     def eval_on(self, exprs, mesh):
         """Evaluate a nested list of expressions on mesh coordinate arrays.
 
         Returns an ndarray shaped like the nesting followed by the node shape.
-        Lambdified callables are cached per expression tuple.
+        The ``geometry.lambdify_tensor`` callables are cached per nesting shape
+        and expression tuple.
         """
         flat: list[sp.Expr] = []
         _flatten(exprs, flat)
-        shape = _nesting_shape(exprs)
-        key = tuple(flat)
+        key = (_nesting_shape(exprs), tuple(flat))
         fn = self._lam_cache.get(key)
         if fn is None:
-            fn = sp.lambdify(list(self.xs), flat, modules="numpy", cse=True)
-            self._lam_cache[key] = fn
-        pts = [np.asarray(p, dtype=float) for p in mesh]
-        node_shape = np.broadcast_shapes(*(p.shape for p in pts)) if pts else ()
-        with np.errstate(all="ignore"):
-            vals = fn(*pts)
-        arrs = [np.broadcast_to(np.asarray(v, dtype=float), node_shape) for v in vals]
-        stacked = np.stack(arrs) if arrs else np.zeros((0,) + node_shape)
-        return stacked.reshape(shape + node_shape) if shape else stacked[0]
-
-
-def _nesting_shape(obj) -> tuple[int, ...]:
-    if isinstance(obj, (list, tuple)):
-        inner = _nesting_shape(obj[0]) if obj else ()
-        return (len(obj),) + inner
-    return ()
+            fn = self._lam_cache[key] = lambdify_tensor(self.xs, exprs)
+        return fn(*mesh)

@@ -31,7 +31,7 @@ import sympy as sp
 from . import stencils
 from .engine import MapEngine
 from .errors import CapabilityError, ConfigurationError
-from .geometry import DomainModel, TargetModel, _map_nested, grid_axes
+from .geometry import DomainModel, TargetModel, _map_nested, grid_axes, lambdify_tensor
 
 __all__ = [
     "GridMap",
@@ -43,6 +43,7 @@ __all__ = [
     "tension",
     "covariant_derivative",
     "rough_laplacian",
+    "codifferential",
     "weitzenbock_residual",
 ]
 
@@ -91,11 +92,7 @@ class GridMap:
                    eval_mode: str = "analytic_jet", winding=None, fd_order: int = 4) -> "GridMap":
         grid_shape = tuple(int(s) for s in grid_shape)
         exprs = tuple(sp.sympify(e) for e in exprs)
-        mesh = _mesh_any(dom, grid_shape)
-        fns = sp.lambdify(list(dom.coords), list(exprs), modules="numpy")
-        with np.errstate(all="ignore"):
-            vals = fns(*mesh)
-        values = np.stack([np.broadcast_to(np.asarray(v, dtype=float), grid_shape) for v in vals])
+        values = lambdify_tensor(dom.coords, exprs)(*_mesh_any(dom, grid_shape))
         if winding is None and dom.chart.periodic:
             winding = _detect_winding(dom, exprs, require_constant=eval_mode == "grid_fd")
         return cls(dom, tgt, grid_shape, values, eval_mode, exprs if eval_mode == "analytic_jet" else None,
@@ -514,6 +511,20 @@ def rough_laplacian(sigma: BundleSection) -> BundleSection:
     xi = section_partials(gmap, sigma.values, sigma.exprs)
     a_vals = a_term_values(sigma.values, xi, *a_term_data(gmap))
     return BundleSection(gmap, section_laplacians(gmap, sigma.values, sigma.exprs) + a_vals)
+
+
+def codifferential(gmap: GridMap, w: np.ndarray, w_exprs=None) -> np.ndarray:
+    """Codifferential of a pullback-bundle-valued 1-form w, shape (m, n) +
+    grid with the form index first (``w_exprs`` its nesting of closed forms
+    in analytic_jet mode):
+
+    (d* w)^a = -g^{kl} (d_k w_l^a + Gamma^a_{bc} phi^b_k w_l^c - Gamma^p_{kl} w_p^a).
+    """
+    mesh = gmap.mesh
+    cov = np.moveaxis(section_partials(gmap, w, w_exprs), 2, 0)  # [k, l, a] = d_k w_l^a
+    cov += np.einsum("abc...,bk...,lc...->kla...", gmap.tgt.christoffel(*gmap.values), dphi_values(gmap), w)
+    cov -= np.einsum("pkl...,pa...->kla...", gmap.dom.christoffel(*mesh), w)
+    return -np.einsum("kl...,kla...->a...", gmap.dom.metric_inv(*mesh), cov)
 
 
 def weitzenbock_residual(gmap: GridMap) -> np.ndarray:

@@ -65,21 +65,31 @@ def _map_nested(f, obj):
 
 
 def _flatten(obj, out):
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         for o in obj:
             _flatten(o, out)
     else:
         out.append(obj)
 
 
-def lambdify_tensor(coords: Sequence[sp.Symbol], tensor, shape: tuple[int, ...]) -> Callable:
-    """Lambdify a nested list of sympy expressions into a vectorized callable.
+def _nesting_shape(obj) -> tuple[int, ...]:
+    if isinstance(obj, (list, tuple)):
+        return (len(obj),) + (_nesting_shape(obj[0]) if obj else ())
+    return ()
+
+
+def lambdify_tensor(coords: Sequence[sp.Symbol], tensor) -> Callable:
+    """Lambdify nested lists or tuples of sympy expressions into a vectorized
+    callable; the one evaluator of model tensors, map components and engine
+    expressions.
 
     The callable takes ``len(coords)`` broadcastable arrays and returns an
-    ndarray of shape ``shape + node_shape``.
+    ndarray shaped like the nesting followed by the node shape (an empty
+    nesting gives an empty array).
     """
     flat: list[sp.Expr] = []
     _flatten(tensor, flat)
+    shape = _nesting_shape(tensor)
     fn = sp.lambdify(list(coords), flat, modules="numpy", cse=True)
 
     def call(*points: np.ndarray) -> np.ndarray:
@@ -88,7 +98,8 @@ def lambdify_tensor(coords: Sequence[sp.Symbol], tensor, shape: tuple[int, ...])
         with np.errstate(all="ignore"):
             vals = fn(*pts)
         arrs = [np.broadcast_to(np.asarray(v, dtype=float), node_shape) for v in vals]
-        return np.stack(arrs).reshape(shape + node_shape) if shape else arrs[0]
+        stacked = np.stack(arrs) if arrs else np.zeros((0,) + node_shape)
+        return stacked.reshape(shape + node_shape) if shape else stacked[0]
 
     return call
 
@@ -249,27 +260,27 @@ class DomainModel:
 
     @functools.cached_property
     def metric(self) -> Callable:
-        return lambdify_tensor(self.coords, self.metric_exprs, (self.dim, self.dim))
+        return lambdify_tensor(self.coords, self.metric_exprs)
 
     @functools.cached_property
     def metric_inv(self) -> Callable:
-        return lambdify_tensor(self.coords, self.metric_inv_exprs, (self.dim, self.dim))
+        return lambdify_tensor(self.coords, self.metric_inv_exprs)
 
     @functools.cached_property
     def christoffel(self) -> Callable:
-        return lambdify_tensor(self.coords, self.christoffel_exprs, (self.dim,) * 3)
+        return lambdify_tensor(self.coords, self.christoffel_exprs)
 
     @functools.cached_property
     def christoffel_jet(self) -> Callable:
-        return lambdify_tensor(self.coords, self.christoffel_jet_exprs, (self.dim,) * 4)
+        return lambdify_tensor(self.coords, self.christoffel_jet_exprs)
 
     @functools.cached_property
     def ricci(self) -> Callable:
-        return lambdify_tensor(self.coords, self.ricci_exprs, (self.dim, self.dim))
+        return lambdify_tensor(self.coords, self.ricci_exprs)
 
     @functools.cached_property
     def metric_inv_jet(self) -> Callable:
-        return lambdify_tensor(self.coords, self._sym.metric_inv_jet_exprs, (self.dim,) * 3)
+        return lambdify_tensor(self.coords, self._sym.metric_inv_jet_exprs)
 
 
 def flat_torus(dim: int, period: float | Sequence[float] = 2 * np.pi) -> DomainModel:
@@ -486,39 +497,39 @@ class TargetModel:
 
     @functools.cached_property
     def metric(self):
-        return lambdify_tensor(self.coords, self.metric_exprs, (self.dim, self.dim))
+        return lambdify_tensor(self.coords, self.metric_exprs)
 
     @functools.cached_property
     def christoffel(self):
-        return lambdify_tensor(self.coords, self.christoffel_exprs, (self.dim,) * 3)
+        return lambdify_tensor(self.coords, self.christoffel_exprs)
 
     @functools.cached_property
     def christoffel_jet(self):
-        return lambdify_tensor(self.coords, self.christoffel_jet_exprs, (self.dim,) * 4)
+        return lambdify_tensor(self.coords, self.christoffel_jet_exprs)
 
     @functools.cached_property
     def riemann(self):
-        return lambdify_tensor(self.coords, self.riemann_exprs, (self.dim,) * 4)
+        return lambdify_tensor(self.coords, self.riemann_exprs)
 
     @functools.cached_property
     def nabla_riemann(self):
-        return lambdify_tensor(self.coords, self.nabla_riemann_exprs, (self.dim,) * 5)
+        return lambdify_tensor(self.coords, self.nabla_riemann_exprs)
 
     @functools.cached_property
     def nabla2_riemann(self):
-        return lambdify_tensor(self.coords, self.nabla2_riemann_exprs, (self.dim,) * 6)
+        return lambdify_tensor(self.coords, self.nabla2_riemann_exprs)
 
     @functools.cached_property
     def s_tensor(self):
-        return lambdify_tensor(self.coords, self.s_tensor_exprs, (self.dim,) * 4)
+        return lambdify_tensor(self.coords, self.s_tensor_exprs)
 
     @functools.cached_property
     def c_tensor(self):
-        return lambdify_tensor(self.coords, self.c_tensor_exprs, (self.dim,) * 4)
+        return lambdify_tensor(self.coords, self.c_tensor_exprs)
 
     @functools.cached_property
     def e_tensor(self):
-        return lambdify_tensor(self.coords, self.e_tensor_exprs, (self.dim,) * 5)
+        return lambdify_tensor(self.coords, self.e_tensor_exprs)
 
     @property
     def is_curvature_free(self) -> bool:

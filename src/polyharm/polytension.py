@@ -13,10 +13,11 @@ Fourth-order curvature corrections: ``xi_1``, the codifferential expansion
 of ``Omega_1``, the trace term and the assembly of ``hat tau_4`` are one
 node-wise kernel, ``hat_tau4_values``, shared by closed-form maps (fed with
 evaluated leaves) and the pointwise latitude reduction.  ``Omega_0``,
-``Omega_1``, the two evaluation paths for ``lapbar Omega_0``
-(section-Laplacian formula versus the tensorial Leibniz expansion) and the
-direct codifferential of ``Omega_1`` stay symbolic, as oracles.  Together
-they build ``hat tau_4`` and the ES-4 tension field.
+``Omega_1`` and the tensorial Leibniz expansion of ``covd Omega_0`` stay
+symbolic, because the two evaluation paths for ``lapbar Omega_0``
+(``lapbar_omega0_paths``: the rough Laplacian of ``Omega_0`` versus the
+codifferential of the expansion) differentiate them again on the shared
+kernels.  Together they build ``hat tau_4`` and the ES-4 tension field.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .fields import (
     VGrid,
     a_term_data,
     a_term_values,
+    codifferential,
     covariant_derivative,
     covd_values,
     dphi_values,
@@ -58,14 +60,20 @@ __all__ = [
     "tau4_explicit",
     "bitension_reference",
     "es4_terms",
+    "lapbar_omega0_paths",
     "hat_tau4",
     "hat_tau4_values",
     "omega0_values",
     "tau4_es",
     "MIN_NODES_PER_LEVEL",
+    "ES4_PATH_TOL",
 ]
 
 MIN_NODES_PER_LEVEL = 16
+
+# sup gap allowed between the two lapbar Omega_0 paths, relative to
+# max(1, sup |path (a)|)
+ES4_PATH_TOL = 1e-7
 
 
 @dataclass
@@ -142,8 +150,8 @@ def top_a_term(gmap: GridMap, tower: TensionTower) -> BundleSection:
 
     analytic_jet mode evaluates the engine's closed form A_k, the one inside
     the symbolic tau_{k+1}.  The reduced system pairs the two in its top row
-    (lap u_{k-1} = F^{k+1} + tau_{k+1}), and ``MapEngine.eval_on`` misevaluates
-    deep closed forms (README "Known defect"): on the circle map of
+    (lap u_{k-1} = F^{k+1} + tau_{k+1}), and ``geometry.lambdify_tensor``
+    misevaluates deep closed forms (README "Known defect"): on the circle map of
     ``test_residual_decays_at_stencil_order[4]`` the closed-form A_3 is off by
     up to 1.1e-2 where the A-term kernel is exact to 2e-15, so a kernel A_k
     would break the identity by the evaluator's error.  grid_fd mode applies
@@ -411,49 +419,47 @@ def hat_tau4_values(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, omega0, lapbar_o
     return xi1, two_xi_dstar, -(two_xi_dstar + lapbar_omega0 + tr) / 2.0
 
 
-def _es4_parts(gmap: GridMap, cross_check_tol: float = 1e-7):
-    """Omega_0 (with its closed form), xi_1 and hat tau_4 values on a curved
-    target.  ``lapbar Omega_0`` is evaluated through the section-Laplacian
-    formula and through the tensorial Leibniz expansion, and the two must
-    agree within ``cross_check_tol`` (sup-norm, relative to scale)."""
-    _require_es4_mode(gmap, "hat_tau4")
+def lapbar_omega0_paths(gmap: GridMap) -> tuple[np.ndarray, np.ndarray]:
+    """lapbar Omega_0 on a closed-form map along two independent routes:
+    (a) the rough Laplacian of the Omega_0 section, (b) the codifferential
+    of the tensorial Leibniz expansion of covd Omega_0."""
     eng = gmap.engine
-    lo_path_a = gmap.eval_exprs(eng.lapbar_omega0_rough())
-    lo_path_b = gmap.eval_exprs(eng.lapbar_omega0_expanded())
-    scale = max(1.0, float(np.max(np.abs(lo_path_a))))
-    gap = float(np.max(np.abs(lo_path_a - lo_path_b)))
-    if gap > cross_check_tol * scale:
-        raise NumericalContractError(
-            f"two lapbar Omega_0 evaluation paths disagree: sup gap {gap:.3e} (scale {scale:.3e})"
-        )
     omega0 = BundleSection(gmap, gmap.eval_exprs(eng.omega0), exprs=eng.omega0)
-    tau = tension(gmap)
-    xi1, _, hat = hat_tau4_values(
-        gmap.dom.metric_inv(*gmap.mesh), dphi_values(gmap), second_fundamental_form(gmap),
-        gmap.tgt.riemann(*gmap.values), gmap.tgt.nabla_riemann(*gmap.values),
-        tau.values, covariant_derivative(tau).values, omega0.values, lo_path_a)
-    return omega0, xi1, hat
+    expansion = eng.nabla_omega0_tensorial
+    return (rough_laplacian(omega0).values,
+            codifferential(gmap, gmap.eval_exprs(expansion), expansion))
 
 
 def es4_terms(gmap: GridMap) -> ES4Terms:
-    """Omega_0, Omega_1, xi_1 and hat tau_4 (with the two-path cross-check)."""
+    """Omega_0, Omega_1, xi_1 and hat tau_4.  On a curved target the two
+    ``lapbar_omega0_paths`` must agree within ``ES4_PATH_TOL`` (sup-norm,
+    relative to max(1, sup |path (a)|)); path (a) enters hat tau_4."""
     if gmap.tgt.is_curvature_free:
         zero = np.zeros_like(gmap.values)
         return ES4Terms(BundleSection(gmap, zero), np.zeros((gmap.dom.dim,) + zero.shape),
                         BundleSection(gmap, zero.copy()), BundleSection(gmap, zero.copy()))
-    omega0, xi1, hat = _es4_parts(gmap)
-    return ES4Terms(omega0, gmap.eval_exprs(gmap.engine.omega1), BundleSection(gmap, xi1),
-                    BundleSection(gmap, hat))
+    _require_es4_mode(gmap, "hat_tau4")
+    path_a, path_b = lapbar_omega0_paths(gmap)
+    scale = max(1.0, float(np.max(np.abs(path_a))))
+    gap = float(np.max(np.abs(path_a - path_b)))
+    if gap > ES4_PATH_TOL * scale:
+        raise NumericalContractError(
+            f"two lapbar Omega_0 evaluation paths disagree: sup gap {gap:.3e} (scale {scale:.3e})"
+        )
+    eng = gmap.engine
+    omega0 = gmap.eval_exprs(eng.omega0)
+    tau = tension(gmap)
+    xi1, _, hat = hat_tau4_values(
+        gmap.dom.metric_inv(*gmap.mesh), dphi_values(gmap), second_fundamental_form(gmap),
+        gmap.tgt.riemann(*gmap.values), gmap.tgt.nabla_riemann(*gmap.values),
+        tau.values, covariant_derivative(tau).values, omega0, path_a)
+    return ES4Terms(BundleSection(gmap, omega0, exprs=eng.omega0), gmap.eval_exprs(eng.omega1),
+                    BundleSection(gmap, xi1), BundleSection(gmap, hat))
 
 
-def hat_tau4(gmap: GridMap, cross_check_tol: float = 1e-7) -> BundleSection:
-    """hat tau_4; on curved targets ``lapbar Omega_0`` is evaluated through the
-    section-Laplacian formula and through the tensorial Leibniz expansion, and
-    the two must agree within ``cross_check_tol`` (sup-norm, relative to scale).
-    """
-    if gmap.tgt.is_curvature_free:
-        return BundleSection(gmap, np.zeros_like(gmap.values))
-    return BundleSection(gmap, _es4_parts(gmap, cross_check_tol)[2])
+def hat_tau4(gmap: GridMap) -> BundleSection:
+    """hat tau_4, with the two-path check of ``es4_terms``."""
+    return es4_terms(gmap).hat_tau4
 
 
 def tau4_es(gmap: GridMap) -> BundleSection:

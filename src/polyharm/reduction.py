@@ -422,7 +422,7 @@ class EquatorReport:
     off_window: RatioReport
 
 
-def equator_bound(gmap: GridMap, k: int, window, vanish_tol: float = 1e-10) -> EquatorReport:
+def equator_bound(gmap: GridMap, k: int, window) -> EquatorReport:
     """Check y = 0 on the declared window W and return the off-window
     sup-ratio of |lap y| against the equator bracket.
 

@@ -160,14 +160,9 @@ def _tau_any(gmap: GridMap, order) -> BundleSection:
     return tau_k(gmap, int(order))
 
 
-def first_variation_check(gmap: GridMap, variation_exprs, order, t: float = 1e-5) -> float:
-    """Relative discrepancy between the centered t-derivative of the energy
-    along phi + tV and VARIATIONAL_SIGN * int <tau_k, V> dV."""
-    if gmap.eval_mode != "analytic_jet":
-        raise CapabilityError("first_variation_check needs analytic_jet mode")
-    import sympy as sp
-
-    v_exprs = [sp.sympify(e) for e in variation_exprs]
+def _variation_sides(gmap: GridMap, v_exprs, order, t: float) -> tuple[float, float]:
+    """The two sides of the first variation along phi + tV: the centered
+    t-derivative of the energy and the pairing int <tau_k, V> dV."""
     phi = list(gmap.exprs)
 
     def shifted(tt: float):
@@ -179,8 +174,18 @@ def first_variation_check(gmap: GridMap, variation_exprs, order, t: float = 1e-5
     fd = (e_plus - e_minus) / (2 * t)
     tau = _tau_any(gmap, order)
     vvals = gmap.eval_exprs(v_exprs)
-    h = _h_at(gmap)
-    pairing = integrate(gmap, np.einsum("ab...,a...,b...->...", h, tau.values, vvals))
+    pairing = integrate(gmap, np.einsum("ab...,a...,b...->...", _h_at(gmap), tau.values, vvals))
+    return fd, pairing
+
+
+def first_variation_check(gmap: GridMap, variation_exprs, order, t: float = 1e-5) -> float:
+    """Relative discrepancy between the centered t-derivative of the energy
+    along phi + tV and VARIATIONAL_SIGN * int <tau_k, V> dV."""
+    if gmap.eval_mode != "analytic_jet":
+        raise CapabilityError("first_variation_check needs analytic_jet mode")
+    import sympy as sp
+
+    fd, pairing = _variation_sides(gmap, [sp.sympify(e) for e in variation_exprs], order, t)
     rhs = VARIATIONAL_SIGN * pairing
     scale = max(abs(fd), abs(rhs))
     if scale < 1e-8:
@@ -197,16 +202,9 @@ def calibrate_variational_sign(resolution: int = 48) -> float:
     from .geometry import euclidean, flat_torus
 
     dom = flat_torus(1)
-    tgt = euclidean(1)
     x = dom.coords[0]
-    gmap = GridMap.from_exprs(dom, tgt, (resolution,), (sp.sin(x),))
-    v = (sp.sin(x) + sp.cos(2 * x) / 3,)
-    t = 1e-5
-    e_p = energy_k(GridMap.from_exprs(dom, tgt, (resolution,), (sp.sin(x) + t * v[0],)), 1).value
-    e_m = energy_k(GridMap.from_exprs(dom, tgt, (resolution,), (sp.sin(x) - t * v[0],)), 1).value
-    fd = (e_p - e_m) / (2 * t)
-    tau = tau_k(gmap, 1)
-    pairing = integrate(gmap, np.einsum("a...,a...->...", tau.values, gmap.eval_exprs(list(v))))
+    gmap = GridMap.from_exprs(dom, euclidean(1), (resolution,), (sp.sin(x),))
+    fd, pairing = _variation_sides(gmap, [sp.sin(x) + sp.cos(2 * x) / 3], 1, 1e-5)
     sign = float(np.sign(fd / pairing))
     if sign != VARIATIONAL_SIGN:
         raise NumericalContractError(
@@ -331,18 +329,19 @@ def latitude_reduction(m: int, order, alpha: float, tangential_tol: float = 1e-1
 # still replace about a thousand Python-level evaluations by eight.
 LATITUDE_BLOCK = 125
 
+# bracket width at which the bisection of a latitude root stops
+LATITUDE_ALPHA_TOL = 1e-13
 
-def find_k_harmonic_latitude(m: int, order, scan_points: int = 1000,
-                             alpha_tol: float = 1e-10, lo: float = 0.05) -> list[float]:
+
+def find_k_harmonic_latitude(m: int, order, scan_points: int = 1000, lo: float = 0.05) -> list[float]:
     """Bracketing scan plus bisection of the latitude reduction on
     (lo, pi/2); the trivial equator root pi/2 is excluded.  The scan grid is
     evaluated in array calls of ``LATITUDE_BLOCK`` angles.  Every root is
     re-verified by its sign change and by |tau_k| <= 1e-8 at the root.
-    Bisection runs well past ``alpha_tol`` so steep reductions still pass
-    the residual re-verification."""
+    Bisection runs down to brackets of ``LATITUDE_ALPHA_TOL``, so steep
+    reductions still pass the residual re-verification."""
     if order != "es4" and int(order) < 2:
         raise ConfigurationError("proper latitude search needs order >= 2")
-    alpha_tol = min(alpha_tol, 1e-13)
     f = lambda a: latitude_reduction(m, order, a)
     hi = np.pi / 2 - 1e-6
     grid = np.linspace(lo, hi, scan_points)
@@ -356,7 +355,7 @@ def find_k_harmonic_latitude(m: int, order, scan_points: int = 1000,
             continue
         a, b = grid[i], grid[i + 1]
         va = vals[i]
-        while b - a > alpha_tol:
+        while b - a > LATITUDE_ALPHA_TOL:
             mid = 0.5 * (a + b)
             vm = f(mid)
             if vm == 0.0:
@@ -408,7 +407,7 @@ def gradient_flow(gmap0: GridMap, k, dt: float, steps: int,
                                    eval_mode="grid_fd", fd_order=gmap0.fd_order)
     gmap = gmap0
     energy = _energy_any(gmap, k)
-    tau = _tau_any_fd(gmap, k)
+    tau = _tau_any(gmap, k).values
     records = [(0, energy, float(np.max(np.abs(tau))))]
     halvings = 0
     accepted = 0
@@ -421,7 +420,7 @@ def gradient_flow(gmap0: GridMap, k, dt: float, steps: int,
         if new_energy <= energy + energy_slack:
             gmap = candidate
             energy = new_energy
-            tau = _tau_any_fd(gmap, k)
+            tau = _tau_any(gmap, k).values
             accepted += 1
             records.append((accepted, energy, float(np.max(np.abs(tau)))))
         else:
@@ -432,10 +431,3 @@ def gradient_flow(gmap0: GridMap, k, dt: float, steps: int,
                     f"flow time step underflow after {max_halvings} halvings (dt={dt:.3e})")
     return FlowResult(records, gmap, dt, halvings, accepted)
 
-
-def _tau_any_fd(gmap: GridMap, order) -> np.ndarray:
-    if order == "es4":
-        if not gmap.tgt.is_curvature_free:
-            raise CapabilityError("ES-4 flow is only supported on flat targets in grid_fd mode")
-        return tau_k(gmap, 4).values
-    return tau_k(gmap, int(order)).values

@@ -155,9 +155,7 @@ def test_criterion_7_equator_vanishing(map_window_equatorial):
 
 @_report(8, "ES-4 internal consistency")
 def test_criterion_8_es4_consistency(map_flat_sphere, map_flat_flat):
-    eng = map_flat_sphere.engine
-    path_a = map_flat_sphere.eval_exprs(eng.lapbar_omega0_rough())
-    path_b = map_flat_sphere.eval_exprs(eng.lapbar_omega0_expanded())
+    path_a, path_b = pt.lapbar_omega0_paths(map_flat_sphere)
     scale = max(1.0, float(np.max(np.abs(path_a))))
     assert np.max(np.abs(path_a - path_b)) <= 1e-7 * scale
 

@@ -288,3 +288,22 @@ def test_run_leaves_numpy_global_generator_alone():
     before = np.random.get_state()[1].copy()
     cli.run(_cfg(command="tension", seed=7, **CIRCLE_SPHERE))
     assert np.array_equal(np.random.get_state()[1], before)
+
+
+def test_tau_es4_evaluates_lapbar_omega0_pair_once(monkeypatch):
+    from polyharm import polytension as pt
+
+    calls = []
+    paths = pt.lapbar_omega0_paths
+
+    def counted(gmap):
+        calls.append(gmap)
+        return paths(gmap)
+
+    monkeypatch.setattr(pt, "lapbar_omega0_paths", counted)
+    cfg = _cfg(command="tau-es4", domain={"kind": "flat_torus", "dim": 1},
+               target={"kind": "round_sphere_polar", "dim": 2},
+               map={"exprs": ["x1", "pi/2"]}, grid_shape=[16])
+    art = cli.run(cfg)
+    assert len(calls) == 1
+    assert set(art.summary) == {"max_abs", "max_abs_hat", "max_abs_xi1"}

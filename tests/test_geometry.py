@@ -42,8 +42,7 @@ def test_metric_algebra_invariants(model, pts):
     ).reshape(g.shape)
     mat = sp.Matrix(model.metric_exprs)
     inv_fn = geo.lambdify_tensor(model.coords, [[mat.inv()[i, j] for j in range(model.dim)]
-                                                for i in range(model.dim)],
-                                 (model.dim, model.dim))
+                                                for i in range(model.dim)])
     prod = np.einsum("ij...,jk...->ik...", g, inv_fn(*pts))
     eye = np.eye(model.dim).reshape(model.dim, model.dim, *([1] * (prod.ndim - 2)))
     assert np.max(np.abs(prod - eye)) <= 1e-12
@@ -158,7 +157,7 @@ def test_sphere_last_component_curvature():
     for s in (0.7, np.pi / 2, 2.2):
         pt = np.array([0.3, 0.2, s])
         riem = geo.riemann_at(model, pt)
-        gt = geo.lambdify_tensor(model.coords[:2], base, (2, 2))(pt[0], pt[1])
+        gt = geo.lambdify_tensor(model.coords[:2], base)(pt[0], pt[1])
         n = 2
         for a in range(2):
             for b in range(2):

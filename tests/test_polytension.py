@@ -263,15 +263,13 @@ def test_es4_harmonic_map_vanishes(harmonic_maps):
 
 
 def test_lapbar_omega0_two_paths(map_flat_sphere):
-    eng = map_flat_sphere.engine
-    a = map_flat_sphere.eval_exprs(eng.lapbar_omega0_rough())
-    b = map_flat_sphere.eval_exprs(eng.lapbar_omega0_expanded())
+    a, b = pt.lapbar_omega0_paths(map_flat_sphere)
     scale = max(1.0, float(np.max(np.abs(a))))
     assert np.max(np.abs(a - b)) <= 1e-7 * scale
 
 
 def test_codifferential_expansion_vs_direct(map_flat_sphere):
-    # the numeric six-term expansion against one symbolic covariant divergence of Omega_1
+    # the six-term expansion against the codifferential kernel on the closed-form Omega_1
     gm = map_flat_sphere
     eng = gm.engine
     tau = fl.tension(gm)
@@ -280,8 +278,21 @@ def test_codifferential_expansion_vs_direct(map_flat_sphere):
         gm.dom.metric_inv(*gm.mesh), fl.dphi_values(gm), fl.second_fundamental_form(gm),
         gm.tgt.riemann(*gm.values), gm.tgt.nabla_riemann(*gm.values), tau.values,
         fl.covariant_derivative(tau).values, omega0, np.zeros_like(omega0))
-    rhs = 2 * xi1 + 2 * gm.eval_exprs(eng.dstar_omega1_direct())
+    rhs = 2 * xi1 + 2 * fl.codifferential(gm, gm.eval_exprs(eng.omega1), eng.omega1)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, float(np.max(np.abs(rhs))))
+
+
+def test_codifferential_of_covd_is_rough_laplacian(dom_bumpy, tgt_s2):
+    # d* covd tau = lapbar tau; the bumpy circle has a non-zero domain Gamma,
+    # which vanishes on every flat test torus
+    x = dom_bumpy.coords[0]
+    gm = fl.GridMap.from_exprs(dom_bumpy, tgt_s2, (48,), (x, sp.pi / 2 + sp.sin(x) / 4))
+    eng = gm.engine
+    cd = eng.covd(eng.tension)
+    w = [[cd[a][i] for a in range(eng.n)] for i in range(eng.m)]
+    d_star = fl.codifferential(gm, gm.eval_exprs(w), w)
+    lapbar = fl.rough_laplacian(fl.tension(gm)).values
+    assert np.max(np.abs(d_star - lapbar)) <= 1e-10 * float(np.max(np.abs(lapbar)))
 
 
 def test_es4_needs_analytic_mode_on_curved_targets(dom_t1, tgt_s2):

@@ -8,7 +8,7 @@ import sympy as sp
 from polyharm import fields as fl
 from polyharm import geometry as geo
 from polyharm import variational as va
-from polyharm.errors import ChartDomainError, ConfigurationError, NumericalContractError
+from polyharm.errors import CapabilityError, ChartDomainError, ConfigurationError, NumericalContractError
 
 
 # -- energies -------------------------------------------------------------------
@@ -267,6 +267,20 @@ def test_flow_halves_unstable_step(dom_t1, tgt_s2):
     res = va.gradient_flow(gm, 2, dt=1.0, steps=3)
     assert res.halvings > 0
     assert res.dt_final < 1.0
+
+
+def test_flow_es4_runs_on_flat_target_only(dom_t1, tgt_e2, tgt_s2):
+    x = dom_t1.coords[0]
+    flat = fl.GridMap.from_exprs(dom_t1, tgt_e2, (64,), (sp.sin(x) / 10, sp.cos(2 * x) / 10),
+                                 eval_mode="grid_fd")
+    res = va.gradient_flow(flat, "es4", dt=1e-9, steps=3)
+    assert res.accepted_steps == 3
+    energies = res.energies
+    assert all(energies[i + 1] <= energies[i] + 1e-12 for i in range(len(energies) - 1))
+    curved = fl.GridMap.from_exprs(dom_t1, tgt_s2, (64,), (x, sp.pi / 2 + sp.sin(x) / 100),
+                                   eval_mode="grid_fd")
+    with pytest.raises(CapabilityError):
+        va.gradient_flow(curved, "es4", dt=1e-9, steps=3)
 
 
 def test_flow_dt_underflow(dom_t1, tgt_s2):
