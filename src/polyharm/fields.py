@@ -94,7 +94,7 @@ class GridMap:
         exprs = tuple(sp.sympify(e) for e in exprs)
         values = lambdify_tensor(dom.coords, exprs)(*_mesh_any(dom, grid_shape))
         if winding is None and dom.chart.periodic:
-            winding = _detect_winding(dom, exprs, require_constant=eval_mode == "grid_fd")
+            winding = _detect_winding(dom, exprs)
         return cls(dom, tgt, grid_shape, values, eval_mode, exprs if eval_mode == "analytic_jet" else None,
                    winding, fd_order)
 
@@ -193,12 +193,12 @@ def _exact_period(L: float):
     return exact if float(exact) == L else L
 
 
-def _detect_winding(dom: DomainModel, exprs, require_constant: bool = False) -> np.ndarray:
-    """Per-axis slope (phi(x + L e_i) - phi(x)) / L of each component, read
-    at the first probe point.  With ``require_constant`` (``grid_fd`` maps,
-    whose stencils only see ``values`` minus the linear winding part) the
-    shift difference must agree at every probe to 1e-9 relative, or the map
-    is rejected: a non-constant difference is not a winding."""
+def _detect_winding(dom: DomainModel, exprs) -> np.ndarray:
+    """Per-axis slope (phi(x + L e_i) - phi(x)) / L of each component.  A
+    shift difference that sympy does not reduce to 0 is read at every probe
+    point and must agree there to 1e-9 relative, or the map is rejected: a
+    non-constant difference is not a winding, so the expressions do not
+    define a map on the torus."""
     n, m = len(exprs), dom.dim
     out = np.zeros((n, m))
     probes = [{c: 0.1 + 0.05 * k + off for k, c in enumerate(dom.coords)} for off in WINDING_PROBE_OFFSETS]
@@ -206,19 +206,15 @@ def _detect_winding(dom: DomainModel, exprs, require_constant: bool = False) -> 
     shifts = [_exact_period(L) for L in periods]
     for a, e in enumerate(exprs):
         for i, c in enumerate(dom.coords):
-            L = periods[i]
-            shifted = e.subs(c, c + shifts[i])
-            diff = sp.simplify(shifted - e)
+            diff = e.subs(c, c + shifts[i]) - e
             if diff == 0:
                 continue
-            seen = [float(diff.subs(p)) for p in (probes if require_constant else probes[:1])]
-            out[a, i] = seen[0] / L
-            spread = max(seen) - min(seen)
-            if require_constant and not spread <= 1e-9 * max(1.0, max(map(abs, seen))):
+            seen = [float(diff.subs(p)) for p in probes]
+            if not max(seen) - min(seen) <= 1e-9 * max(1.0, max(map(abs, seen))):
                 raise ConfigurationError(
-                    f"grid_fd map component {a} has no constant winding along axis {i}: "
-                    f"its shift by the period {L:.6g} reads {', '.join(f'{v:.6g}' for v in seen)} "
-                    "at the probe points")
+                    f"map component {a} has no constant winding along axis {i}: its shift by the "
+                    f"period {periods[i]:.6g} reads {', '.join(f'{v:.6g}' for v in seen)} at the probe points")
+            out[a, i] = seen[0] / periods[i]
     return out
 
 
@@ -269,11 +265,6 @@ class VGrid:
 # ---------------------------------------------------------------------------
 
 
-def grid_partial(gmap: GridMap, arr: np.ndarray, axis: int) -> np.ndarray:
-    gmap.require_fd_grid()
-    return stencils.diff1(arr, axis, gmap.spacings[axis], gmap.fd_order)
-
-
 def grid_partials(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
     """First partials of every component of a periodic array: shape
     ``F + grid`` to ``F + (m,) + grid``."""
@@ -320,11 +311,6 @@ def grid_laplacians(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
     """Domain Laplace-Beltrami (geometer's sign) of every component of a
     periodic array of shape ``F + grid``."""
     return _laplace_beltrami(gmap, arr)
-
-
-def scalar_laplacian(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
-    """Domain Laplace-Beltrami of one periodic scalar grid, geometer's sign."""
-    return grid_laplacians(gmap, arr)
 
 
 # ---------------------------------------------------------------------------

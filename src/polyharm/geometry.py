@@ -33,7 +33,6 @@ __all__ = [
     "ChartBox",
     "DomainModel",
     "TargetModel",
-    "DerivedTensors",
     "flat_torus",
     "domain_from_metric",
     "sphere_cap_domain",
@@ -41,11 +40,6 @@ __all__ = [
     "round_sphere_polar",
     "space_form",
     "target_from_metric",
-    "sphere_christoffels",
-    "riemann_at",
-    "nabla_riemann_at",
-    "nabla2_riemann_at",
-    "derived_tensors_at",
     "stereographic_factor_metric",
 ]
 
@@ -163,10 +157,6 @@ class ChartBox:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     periodic: bool = True
-
-    @property
-    def lengths(self) -> tuple[float, ...]:
-        return tuple(h - l for l, h in zip(self.lo, self.hi))
 
 
 class _SymbolicChart:
@@ -308,21 +298,21 @@ def stereographic_factor_metric(dim: int, coords) -> list[list[sp.Expr]]:
     return [[conf if i == j else sp.S.Zero for j in range(dim)] for i in range(dim)]
 
 
-def sphere_cap_domain(dim: int, scale_angle: float | sp.Expr, half_width: float = 1.0) -> DomainModel:
+def sphere_cap_domain(dim: int, scale_angle: float | sp.Expr) -> DomainModel:
     """The latitude sphere S^dim(sin alpha) as a domain chart.
 
     Metric: sin^2(alpha) times the round unit-S^dim metric in the factor chart
     (angle chart for dim = 1, stereographic for dim >= 2).  The chart is a
-    non-periodic box; it supports pointwise analytic evaluation only.
+    non-periodic box [-1, 1]^dim; it supports pointwise analytic evaluation only.
     """
     coords = tuple(sp.symbols(f"x1:{dim + 1}", real=True)) if dim > 1 else (sp.Symbol("x1", real=True),)
     gt = stereographic_factor_metric(dim, coords)
     sa2 = sp.sin(scale_angle) ** 2
     g = [[sa2 * gt[i][j] for j in range(dim)] for i in range(dim)]
-    periodic = dim == 1
-    chart = ChartBox(lo=(-half_width,) * dim, hi=(half_width,) * dim, periodic=periodic)
     if dim == 1:
         chart = ChartBox(lo=(0.0,), hi=(2 * np.pi,), periodic=True)
+    else:
+        chart = ChartBox(lo=(-1.0,) * dim, hi=(1.0,) * dim, periodic=False)
     return DomainModel(dim, coords, chart, f"sphere_cap_{dim}d", _SymbolicChart(dim, coords, g))
 
 
@@ -331,32 +321,21 @@ def sphere_cap_domain(dim: int, scale_angle: float | sp.Expr, half_width: float 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivedTensors:
-    """The derived target tensors entering the section Laplacian and the
-    reduced right-hand sides:
+class TargetModel:
+    """The (N, h) side: Christoffel jets, curvature and its covariant
+    derivative, plus the derived tensors, all from closed forms:
 
     * ``2 S^a_{bwt} = dGamma^a_{bt}/dy^w + Gamma^g_{bt} Gamma^a_{wg}
       + dGamma^a_{wt}/dy^b + Gamma^g_{wt} Gamma^a_{bg}``
     * ``C^a_{tsn} = Gamma^m_{ts} Gamma^a_{mn} - S^a_{tsn}``
     * ``E^a_{bdth} = R^a_{bgd} Gamma^g_{th} + R^a_{bgt} Gamma^g_{dh}``
-    """
-
-    S: np.ndarray
-    C: np.ndarray
-    E: np.ndarray
-
-
-class TargetModel:
-    """The (N, h) side: Christoffel jets, curvature and its covariant
-    derivatives, plus the derived tensors, all from closed forms.
 
     ``kind`` is one of ``euclidean``, ``round_sphere_polar``, ``space_form``
     or ``user_metric``.  ``jet_order`` caps how deep a Christoffel jet the
     model claims to provide; operations requiring deeper jets raise
     :class:`CapabilityError`.  Space forms (including the round sphere) use
-    the constant-curvature closed form for R and have ``nabla R = 0`` and
-    ``nabla^2 R = 0`` identically.
+    the constant-curvature closed form for R and have ``nabla R = 0``
+    identically.
     """
 
     def __init__(self, dim, coords, metric_exprs, kind, name, curvature_const=None,
@@ -414,32 +393,6 @@ class TargetModel:
             return _sym_zeros((d, d, d, d, d))
         self.require_jets(2, "covariant derivative of curvature")
         return covariant_derivative_of_riemann(self.riemann_exprs, self.christoffel_exprs, self.coords)
-
-    @functools.cached_property
-    def nabla2_riemann_exprs(self):
-        d = self.dim
-        if self.is_space_form:
-            return _sym_zeros((d, d, d, d, d, d))
-        self.require_jets(3, "second covariant derivative of curvature")
-        nr = self.nabla_riemann_exprs
-        gam = self.christoffel_exprs
-        c = self.coords
-        out = _sym_zeros((d,) * 6)
-        for a in range(d):
-            for dd in range(d):
-                for b in range(d):
-                    for cc in range(d):
-                        for e in range(d):
-                            for f in range(d):
-                                expr = sp.diff(nr[a][dd][b][cc][e], c[f])
-                                for mu in range(d):
-                                    expr += gam[a][f][mu] * nr[mu][dd][b][cc][e]
-                                    expr -= gam[mu][f][dd] * nr[a][mu][b][cc][e]
-                                    expr -= gam[mu][f][b] * nr[a][dd][mu][cc][e]
-                                    expr -= gam[mu][f][cc] * nr[a][dd][b][mu][e]
-                                    expr -= gam[mu][f][e] * nr[a][dd][b][cc][mu]
-                                out[a][dd][b][cc][e][f] = expr
-        return out
 
     @functools.cached_property
     def s_tensor_exprs(self):
@@ -514,10 +467,6 @@ class TargetModel:
     @functools.cached_property
     def nabla_riemann(self):
         return lambdify_tensor(self.coords, self.nabla_riemann_exprs)
-
-    @functools.cached_property
-    def nabla2_riemann(self):
-        return lambdify_tensor(self.coords, self.nabla2_riemann_exprs)
 
     @functools.cached_property
     def s_tensor(self):
@@ -599,52 +548,6 @@ def space_form(dim: int, curvature: float, collar: float = _DEFAULT_COLLAR) -> T
 def target_from_metric(metric_exprs, coords, name: str = "user_target", jet_order: int = 6) -> TargetModel:
     dim = len(coords)
     return TargetModel(dim, tuple(coords), metric_exprs, "user_metric", name, jet_order=jet_order)
-
-
-# ---------------------------------------------------------------------------
-# pointwise operations
-# ---------------------------------------------------------------------------
-
-
-def sphere_christoffels(model: TargetModel, point: np.ndarray) -> np.ndarray:
-    """All Christoffel components of the polar sphere chart at (w, s).
-
-    The five families: the pure factor symbols, ``G^n_{bc} = -sin(s)cos(s)
-    gt_{bc}``, the vanishing families, and ``G^a_{bn} = cot(s) delta^a_b``.
-    The factor symbols delegate to the chosen equator chart.
-    """
-    if model.kind != "round_sphere_polar":
-        raise ConfigurationError("sphere_christoffels needs a round_sphere_polar target")
-    point = np.asarray(point, dtype=float)
-    model.check_chart(point.reshape(model.dim, *point.shape[1:]), what="point")
-    return model.christoffel(*point)
-
-
-def riemann_at(model: TargetModel, point: np.ndarray) -> np.ndarray:
-    """Full curvature component array R^a_{dbc} at a chart point."""
-    point = np.asarray(point, dtype=float)
-    model.check_chart(point.reshape(model.dim, *point.shape[1:]), what="point")
-    return model.riemann(*point)
-
-
-def nabla_riemann_at(model: TargetModel, point: np.ndarray) -> np.ndarray:
-    """R^a_{dbc;e} at a chart point; identically zero for space forms."""
-    point = np.asarray(point, dtype=float)
-    model.check_chart(point.reshape(model.dim, *point.shape[1:]), what="point")
-    return model.nabla_riemann(*point)
-
-
-def nabla2_riemann_at(model: TargetModel, point: np.ndarray) -> np.ndarray:
-    """Second covariant derivative of R; identically zero for space forms."""
-    point = np.asarray(point, dtype=float)
-    model.check_chart(point.reshape(model.dim, *point.shape[1:]), what="point")
-    return model.nabla2_riemann(*point)
-
-
-def derived_tensors_at(model: TargetModel, point: np.ndarray) -> DerivedTensors:
-    point = np.asarray(point, dtype=float)
-    model.check_chart(point.reshape(model.dim, *point.shape[1:]), what="point")
-    return DerivedTensors(S=model.s_tensor(*point), C=model.c_tensor(*point), E=model.e_tensor(*point))
 
 
 # ---------------------------------------------------------------------------

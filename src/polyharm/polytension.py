@@ -96,11 +96,6 @@ class TensionTower:
 # ---------------------------------------------------------------------------
 
 
-def curv_apply_num(riem: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """[R(X, Y) Z]^a = X^b Y^c Z^d R^a_{dbc} on arrays with trailing node axes."""
-    return np.einsum("adbc...,b...,c...,d...->a...", riem, X, Y, Z)
-
-
 def trace_R_sec_dphi(ginv, riem, d1, sec) -> np.ndarray:
     """Sum_j R(sec, dphi_j) dphi_j, both frame slots g-traced."""
     return np.einsum("adbc...,b...,cd...->a...", riem, sec, frame_trace(ginv, d1, d1))
@@ -114,11 +109,6 @@ def trace_R_frame_sec(ginv, riem, d1, x_frame, y_sec) -> np.ndarray:
 def trace_R_sec_frame(ginv, riem, d1, x_sec, y_frame) -> np.ndarray:
     """Sum_j R(X, Y_j) dphi_j for a frame-indexed second slot."""
     return np.einsum("adbc...,b...,cd...->a...", riem, x_sec, frame_trace(ginv, y_frame, d1))
-
-
-def nabla_r_apply_num(nabla_riem: np.ndarray, W, X, Y, Z) -> np.ndarray:
-    """[(nabla_W R)(X, Y) Z]^a = W^e X^b Y^c Z^d R^a_{dbc;e}."""
-    return np.einsum("adbce...,e...,b...,c...,d...->a...", nabla_riem, W, X, Y, Z)
 
 
 def curv_2form_values(riem, d1, u0) -> np.ndarray:
@@ -380,40 +370,27 @@ def hat_tau4_values(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, omega0, lapbar_o
       L6 = R(R(dphi_i, dphi_j) tau, covd_i tau) dphi_j;
     * ``hat tau_4 = -1/2 (2 xi_1 + 2 d* Omega_1 + lapbar Omega_0 + Tr R(dphi, Omega_0) dphi)``.
 
-    ``nabla_riem`` None stands for a target with nabla R = 0 (a space form):
-    xi_1 and L2 vanish and are not formed.  Frame pairs where g^{-1} is zero
-    at every node are skipped."""
-    m = d1.shape[1]
+    L2 .. L5 are R(X_j, tau) dphi_j for a frame-indexed X (its i-trace taken
+    first) and go through ``trace_R_frame_sec``; L6 and xi_1 trace both frame
+    slots of T = R(dphi_i, dphi_j) tau pairwise.  No contraction with g^{-1}
+    carries more than three operands.  ``nabla_riem`` None stands for a target with
+    nabla R = 0 (a space form): xi_1 and L2 vanish and are not formed."""
     T = curv_2form_values(riem, d1, u0)
+    # X_j summed over L3, L4, L5 (and L2 below); ft_sff[b, c, j] = g^{ii'} dphi^b_i nabla dphi^c_{i'j}
+    x_frame = np.einsum("adbc...,b...,cj...,d...->aj...", riem, u0, d1, u0)  # L3: R(tau, dphi_j) tau
+    ft_sff = np.einsum("ik...,bi...,ckj...->bcj...", ginv, d1, sff)
+    x_frame += np.einsum("adbc...,bcj...,d...->aj...", riem, ft_sff, u0)  # L4
+    x_frame += np.einsum("adbc...,bd...,cj...->aj...", riem, frame_trace(ginv, d1, cd_u0), d1)  # L5
     xi1 = np.zeros_like(u0)
-    L2 = np.zeros_like(u0)
-    L3 = np.zeros_like(u0)
-    L4 = np.zeros_like(u0)
-    L5 = np.zeros_like(u0)
-    L6 = np.zeros_like(u0)
-
-    def curv(X, Y, Z):
-        return curv_apply_num(riem, X, Y, Z)
-
-    for j in range(m):
-        for jp in range(m):
-            if not np.any(ginv[j, jp]):
-                continue
-            gjj = ginv[j, jp]
-            L3 += gjj * curv(curv(u0, d1[:, j], u0), u0, d1[:, jp])
-            for i in range(m):
-                for ip in range(m):
-                    if not np.any(ginv[i, ip]):
-                        continue
-                    gii = ginv[i, ip]
-                    if nabla_riem is not None:
-                        xi1 -= gii * gjj * nabla_r_apply_num(nabla_riem, d1[:, jp], T[:, i, j], u0, d1[:, ip])
-                        inner = nabla_r_apply_num(nabla_riem, d1[:, i], d1[:, ip], d1[:, j], u0)
-                        L2 += gii * gjj * curv(inner, u0, d1[:, jp])
-                    L4 += gii * gjj * curv(curv(d1[:, i], sff[:, ip, j], u0), u0, d1[:, jp])
-                    L5 += gii * gjj * curv(curv(d1[:, i], d1[:, j], cd_u0[:, ip]), u0, d1[:, jp])
-                    L6 += gii * gjj * curv(T[:, i, j], cd_u0[:, ip], d1[:, jp])
-    two_xi_dstar = -2.0 * (L2 + L3 + L4 + L5 + L6)
+    if nabla_riem is not None:
+        nr_tau = np.einsum("adbce...,d...->abce...", nabla_riem, u0)
+        x_frame += np.einsum("abce...,eb...,cj...->aj...", nr_tau, frame_trace(ginv, d1, d1), d1)  # L2
+        t_d1 = np.einsum("ik...,bij...,dk...->bjd...", ginv, T, d1)
+        t_d1_d1 = np.einsum("jk...,bjd...,ek...->bde...", ginv, t_d1, d1)
+        xi1 = -np.einsum("adbce...,bde...,c...->a...", nabla_riem, t_d1_d1, u0)
+    t_cd = np.einsum("ik...,bij...,ck...->bjc...", ginv, T, cd_u0)
+    l6 = np.einsum("adbc...,bcd...->a...", riem, np.einsum("jk...,bjc...,dk...->bcd...", ginv, t_cd, d1))
+    two_xi_dstar = -2.0 * (trace_R_frame_sec(ginv, riem, d1, x_frame, u0) + l6)
     # Tr R(dphi, Omega_0) dphi = Sum_j R(dphi_j, Omega_0) dphi_j
     tr = trace_R_frame_sec(ginv, riem, d1, d1, omega0)
     return xi1, two_xi_dstar, -(two_xi_dstar + lapbar_omega0 + tr) / 2.0

@@ -290,9 +290,8 @@ class RatioReport:
     grid_shape: tuple[int, ...] = field(default=())
 
 
-def _sup_ratio(num: np.ndarray, den: np.ndarray, select: np.ndarray | None,
-               floor: float = DENOM_FLOOR) -> RatioReport:
-    keep = den >= floor
+def _sup_ratio(num: np.ndarray, den: np.ndarray, select: np.ndarray | None) -> RatioReport:
+    keep = den >= DENOM_FLOOR
     if select is not None:
         keep &= select
     total = int(np.sum(select)) if select is not None else num.size

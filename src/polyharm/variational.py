@@ -69,6 +69,13 @@ VARIATIONAL_SIGN = -1.0
 
 POLE_COLLAR = 1e-3
 
+# tangential components of a latitude reduction above this, relative to
+# max(1, |normal component|), mean the equivariance was lost
+LATITUDE_TANGENTIAL_TOL = 1e-10
+
+# accepted flow steps may raise the energy by at most this much
+FLOW_ENERGY_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -166,8 +173,10 @@ def _variation_sides(gmap: GridMap, v_exprs, order, t: float) -> tuple[float, fl
     phi = list(gmap.exprs)
 
     def shifted(tt: float):
+        # energies read no winding, so V need not be periodic: the map keeps
+        # phi's winding and skips detection
         exprs = [phi[a] + tt * v_exprs[a] for a in range(gmap.tgt.dim)]
-        return GridMap.from_exprs(gmap.dom, gmap.tgt, gmap.grid_shape, exprs)
+        return GridMap.from_exprs(gmap.dom, gmap.tgt, gmap.grid_shape, exprs, winding=gmap.winding.copy())
 
     e_plus = _energy_any(shifted(+t), order)
     e_minus = _energy_any(shifted(-t), order)
@@ -194,7 +203,7 @@ def first_variation_check(gmap: GridMap, variation_exprs, order, t: float = 1e-5
     return abs(fd - rhs) / scale
 
 
-def calibrate_variational_sign(resolution: int = 48) -> float:
+def calibrate_variational_sign() -> float:
     """Recover the global sign on the Dirichlet case (flat torus to flat
     plane) and confirm it matches VARIATIONAL_SIGN."""
     import sympy as sp
@@ -203,7 +212,7 @@ def calibrate_variational_sign(resolution: int = 48) -> float:
 
     dom = flat_torus(1)
     x = dom.coords[0]
-    gmap = GridMap.from_exprs(dom, euclidean(1), (resolution,), (sp.sin(x),))
+    gmap = GridMap.from_exprs(dom, euclidean(1), (48,), (sp.sin(x),))
     fd, pairing = _variation_sides(gmap, [sp.sin(x) + sp.cos(2 * x) / 3], 1, 1e-5)
     sign = float(np.sign(fd / pairing))
     if sign != VARIATIONAL_SIGN:
@@ -280,7 +289,7 @@ def _latitude_hat_tau4(st: dict) -> np.ndarray:
     return hat_tau4_values(ginv, d1, sff, riem, None, u0, cd_u0, omega0, lapbar_omega0)[2]
 
 
-def _latitude_values(m: int, order, alphas, tangential_tol: float = 1e-10) -> np.ndarray:
+def _latitude_values(m: int, order, alphas) -> np.ndarray:
     """Normal components of tau_k (or the ES-4 field) on the latitude
     inclusion, one per angle of the 1-D array ``alphas``; each angle is
     checked as if it were evaluated alone, and an error names the first
@@ -307,7 +316,7 @@ def _latitude_values(m: int, order, alphas, tangential_tol: float = 1e-10) -> np
             f"latitude reduction is not finite at angle {alphas[np.argmax(nonfinite)]}")
     normal = vals[m]
     tang = np.max(np.abs(vals[:m]), axis=0)
-    lost = tang > tangential_tol * np.maximum(1.0, np.abs(normal))
+    lost = tang > LATITUDE_TANGENTIAL_TOL * np.maximum(1.0, np.abs(normal))
     if np.any(lost):
         i = int(np.argmax(lost))
         raise NumericalContractError(
@@ -316,10 +325,10 @@ def _latitude_values(m: int, order, alphas, tangential_tol: float = 1e-10) -> np
     return normal
 
 
-def latitude_reduction(m: int, order, alpha: float, tangential_tol: float = 1e-10) -> float:
+def latitude_reduction(m: int, order, alpha: float) -> float:
     """Normal component of tau_k (or the ES-4 field) on the latitude
     inclusion at polar angle alpha, evaluated at one point by homogeneity."""
-    return float(_latitude_values(m, order, np.array([float(alpha)]), tangential_tol)[0])
+    return float(_latitude_values(m, order, np.array([float(alpha)]))[0])
 
 
 # Angles per array call of the latitude scan.  A call holds the target
@@ -332,19 +341,24 @@ LATITUDE_BLOCK = 125
 # bracket width at which the bisection of a latitude root stops
 LATITUDE_ALPHA_TOL = 1e-13
 
+# the scan grid of a latitude search: this many angles from LATITUDE_SCAN_LO
+# up to just below the equator
+LATITUDE_SCAN_POINTS = 1000
+LATITUDE_SCAN_LO = 0.05
 
-def find_k_harmonic_latitude(m: int, order, scan_points: int = 1000, lo: float = 0.05) -> list[float]:
+
+def find_k_harmonic_latitude(m: int, order) -> list[float]:
     """Bracketing scan plus bisection of the latitude reduction on
-    (lo, pi/2); the trivial equator root pi/2 is excluded.  The scan grid is
-    evaluated in array calls of ``LATITUDE_BLOCK`` angles.  Every root is
-    re-verified by its sign change and by |tau_k| <= 1e-8 at the root.
-    Bisection runs down to brackets of ``LATITUDE_ALPHA_TOL``, so steep
+    (LATITUDE_SCAN_LO, pi/2); the trivial equator root pi/2 is excluded.
+    The scan grid is evaluated in array calls of ``LATITUDE_BLOCK`` angles.
+    Every root is re-verified by its sign change and by |tau_k| <= 1e-8 at
+    the root.  Bisection runs down to brackets of ``LATITUDE_ALPHA_TOL``, so steep
     reductions still pass the residual re-verification."""
     if order != "es4" and int(order) < 2:
         raise ConfigurationError("proper latitude search needs order >= 2")
     f = lambda a: latitude_reduction(m, order, a)
     hi = np.pi / 2 - 1e-6
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(LATITUDE_SCAN_LO, hi, LATITUDE_SCAN_POINTS)
     vals = np.concatenate([_latitude_values(m, order, grid[i:i + LATITUDE_BLOCK])
                            for i in range(0, grid.size, LATITUDE_BLOCK)])
     roots = []
@@ -395,16 +409,15 @@ class FlowResult:
         return [r[1] for r in self.records]
 
 
-def gradient_flow(gmap0: GridMap, k, dt: float, steps: int,
-                  energy_slack: float = 1e-12, max_halvings: int = 20) -> FlowResult:
+def gradient_flow(gmap0: GridMap, k, dt: float, steps: int, max_halvings: int = 20) -> FlowResult:
     """Explicit Euler descent phi <- phi - VARIATIONAL_SIGN * dt * tau_k.
 
-    Accepted steps never increase the energy beyond ``energy_slack``; a step
+    Accepted steps never increase the energy beyond ``FLOW_ENERGY_SLACK``; a step
     that would is retried with dt halved (at most ``max_halvings`` times).
     """
     if gmap0.eval_mode != "grid_fd":
         gmap0 = GridMap.from_exprs(gmap0.dom, gmap0.tgt, gmap0.grid_shape, gmap0.exprs,
-                                   eval_mode="grid_fd", fd_order=gmap0.fd_order)
+                                   eval_mode="grid_fd", winding=gmap0.winding.copy(), fd_order=gmap0.fd_order)
     gmap = gmap0
     energy = _energy_any(gmap, k)
     tau = _tau_any(gmap, k).values
@@ -417,7 +430,7 @@ def gradient_flow(gmap0: GridMap, k, dt: float, steps: int,
         candidate_vals = gmap.values - VARIATIONAL_SIGN * dt * tau
         candidate = gmap.replace_values(candidate_vals)
         new_energy = _energy_any(candidate, k)
-        if new_energy <= energy + energy_slack:
+        if new_energy <= energy + FLOW_ENERGY_SLACK:
             gmap = candidate
             energy = new_energy
             tau = _tau_any(gmap, k).values

@@ -185,6 +185,14 @@ def test_main_exit_codes(tmp_path):
         "target": {"kind": "round_sphere_polar", "dim": 2},
         "map": {"exprs": ["x1", "3.3"]}, "grid_shape": [16]}))
     assert cli.main(["tension", "--config", str(chart)]) == 4
+    # no map on the circle: the shift of x1**2 by the period is not constant
+    wind = tmp_path / "wind.json"
+    wind.write_text(json.dumps({
+        "command": "tension", "eval_mode": "analytic_jet",
+        "domain": {"kind": "flat_torus", "dim": 1},
+        "target": {"kind": "euclidean", "dim": 1},
+        "map": {"exprs": ["x1**2"]}, "grid_shape": [16]}))
+    assert cli.main(["tension", "--config", str(wind)]) == 2
     # degenerate input: sup ratio of an identically harmonic map
     degen = tmp_path / "degen.json"
     degen.write_text(json.dumps({

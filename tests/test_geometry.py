@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from polyharm import geometry as geo
-from polyharm.fields import GridMap, scalar_laplacian
+from polyharm.fields import GridMap, grid_laplacians
 from polyharm.errors import CapabilityError, ChartDomainError, ConfigurationError
 
 from conftest import observed_order
@@ -101,15 +101,14 @@ def test_space_forms_have_parallel_curvature():
     for model in (geo.euclidean(3), geo.round_sphere_polar(2), geo.space_form(3, -0.5)):
         pts = _random_sphere_points(10, model.dim) if model.kind != "euclidean" \
             else RNG.uniform(-1, 1, (model.dim, 10))
-        assert np.max(np.abs(geo.nabla_riemann_at(model, pts))) == 0.0
-        assert np.max(np.abs(geo.nabla2_riemann_at(model, pts))) == 0.0
+        assert np.max(np.abs(model.nabla_riemann(*pts))) == 0.0
 
 
 def test_jet_capability_error():
     sphere = geo.round_sphere_polar(2)
     shallow = geo.target_from_metric(sphere.metric_exprs, sphere.coords, jet_order=1)
     with pytest.raises(CapabilityError):
-        geo.nabla_riemann_at(shallow, np.array([0.1, 1.2]))
+        shallow.nabla_riemann(0.1, 1.2)
 
 
 # -- sphere Christoffels -------------------------------------------------------
@@ -118,7 +117,7 @@ def test_jet_capability_error():
 def test_sphere_christoffels_equator_families():
     model = geo.round_sphere_polar(3)
     pt = np.array([0.2, -0.1, np.pi / 2])
-    gam = geo.sphere_christoffels(model, pt)
+    gam = model.christoffel(*pt)
     n = model.dim
     # at the equator sin(2s) = 0 and cot(s) = 0
     assert np.max(np.abs(gam[n - 1, : n - 1, : n - 1])) <= 1e-14
@@ -129,7 +128,7 @@ def test_sphere_christoffels_equator_families():
 def test_sphere_christoffels_quarter_latitude():
     # n = 2, angle-chart factor: G^n_{11} = -sin(2s)/2 * gt_11 = -1/2 at s = pi/4
     model = geo.round_sphere_polar(2)
-    gam = geo.sphere_christoffels(model, np.array([0.7, np.pi / 4]))
+    gam = model.christoffel(0.7, np.pi / 4)
     assert abs(gam[1, 0, 0] - (-0.5)) <= 1e-14
     assert abs(gam[0, 0, 1] - 1.0) <= 1e-14  # cot(pi/4)
 
@@ -138,7 +137,7 @@ def test_sphere_christoffels_quarter_latitude():
 @settings(max_examples=25, deadline=None)
 def test_sphere_christoffels_vanishing_families(s, w):
     model = geo.round_sphere_polar(2)
-    gam = geo.sphere_christoffels(model, np.array([w, s]))
+    gam = model.christoffel(w, s)
     n = model.dim - 1
     assert gam[0, n, n] == 0 and gam[n, n, n] == 0 and gam[n, 0, n] == 0
 
@@ -146,9 +145,9 @@ def test_sphere_christoffels_vanishing_families(s, w):
 def test_sphere_christoffels_chart_error():
     model = geo.round_sphere_polar(2)
     with pytest.raises(ChartDomainError):
-        geo.sphere_christoffels(model, np.array([0.0, 1e-5]))
+        model.check_chart(np.array([0.0, 1e-5]), what="point")
     with pytest.raises(ChartDomainError):
-        geo.sphere_christoffels(model, np.array([0.0, np.pi]))
+        model.check_chart(np.array([0.0, np.pi]), what="point")
 
 
 def test_sphere_last_component_curvature():
@@ -156,7 +155,7 @@ def test_sphere_last_component_curvature():
     base = geo.stereographic_factor_metric(2, model.coords[:2])
     for s in (0.7, np.pi / 2, 2.2):
         pt = np.array([0.3, 0.2, s])
-        riem = geo.riemann_at(model, pt)
+        riem = model.riemann(*pt)
         gt = geo.lambdify_tensor(model.coords[:2], base)(pt[0], pt[1])
         n = 2
         for a in range(2):
@@ -168,56 +167,56 @@ def test_sphere_last_component_curvature():
 def test_equator_great_circle_component():
     # R^2_{112} at the equator of S^2 equals -gt_11 = -1 in the angle chart
     model = geo.round_sphere_polar(2)
-    riem = geo.riemann_at(model, np.array([0.4, np.pi / 2]))
+    riem = model.riemann(0.4, np.pi / 2)
     assert abs(riem[1, 0, 0, 1] - (-1.0)) <= 1e-12
 
 
 def test_euclidean_curvature_zero():
     model = geo.euclidean(3)
     pts = RNG.uniform(-3, 3, (3, 20))
-    assert np.max(np.abs(geo.riemann_at(model, pts))) == 0.0
+    assert np.max(np.abs(model.riemann(*pts))) == 0.0
 
 
 # -- derived tensors -----------------------------------------------------------
 
 
 def test_derived_tensors_flat_zero():
-    dt = geo.derived_tensors_at(geo.euclidean(2), np.array([0.3, -1.0]))
-    assert np.max(np.abs(dt.S)) == 0 and np.max(np.abs(dt.C)) == 0 and np.max(np.abs(dt.E)) == 0
+    model = geo.euclidean(2)
+    for tensor in (model.s_tensor, model.c_tensor, model.e_tensor):
+        assert np.max(np.abs(tensor(0.3, -1.0))) == 0
 
 
 @given(w=st.floats(-0.8, 0.8), s=st.floats(0.3, np.pi - 0.3))
 @settings(max_examples=25, deadline=None)
 def test_s_tensor_symmetry(w, s):
-    dt = geo.derived_tensors_at(geo.round_sphere_polar(2), np.array([w, s]))
-    assert np.max(np.abs(dt.S - np.swapaxes(dt.S, 1, 2))) <= 1e-12
+    s_t = geo.round_sphere_polar(2).s_tensor(w, s)
+    assert np.max(np.abs(s_t - np.swapaxes(s_t, 1, 2))) <= 1e-12
 
 
 def test_e_tensor_equator_structure():
     # normal-component E with both curvature-slot indices tangential vanishes
     # on the equator, where the mixed Christoffel families are zero
     model = geo.round_sphere_polar(3)
-    dt = geo.derived_tensors_at(model, np.array([0.25, -0.4, np.pi / 2]))
+    e_t = model.e_tensor(0.25, -0.4, np.pi / 2)
     n = model.dim - 1
-    assert np.max(np.abs(dt.E[n, :, :n, :n, :])) <= 1e-13
+    assert np.max(np.abs(e_t[n, :, :n, :n, :])) <= 1e-13
 
 
 def test_c_tensor_definition():
     model = geo.round_sphere_polar(2)
     pt = np.array([0.1, 0.9])
-    dt = geo.derived_tensors_at(model, pt)
     gam = model.christoffel(*pt)
-    expected = np.einsum("mts,amn->atsn", gam, gam) - dt.S
-    assert np.max(np.abs(dt.C - expected)) <= 1e-13
+    expected = np.einsum("mts,amn->atsn", gam, gam) - model.s_tensor(*pt)
+    assert np.max(np.abs(model.c_tensor(*pt) - expected)) <= 1e-13
 
 
 # -- grid Laplacian ------------------------------------------------------------
 
 
 def _lap(f, dom, order=4):
-    """fields.scalar_laplacian of f on a grid_fd map into the line."""
+    """fields.grid_laplacians of f on a grid_fd map into the line."""
     gm = GridMap.from_values(dom, geo.euclidean(1), np.asarray(f)[None], fd_order=order)
-    return scalar_laplacian(gm, f)
+    return grid_laplacians(gm, f)
 
 
 def test_laplacian_sign_convention_circle(dom_t1):

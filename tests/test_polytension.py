@@ -282,6 +282,56 @@ def test_codifferential_expansion_vs_direct(map_flat_sphere):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, float(np.max(np.abs(rhs))))
 
 
+def _hat_tau4_frame_loop(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, omega0, lapbar_omega0):
+    """hat_tau4_values as a literal loop over the frame tuples (j, j', i, i')."""
+    def curv(X, Y, Z):
+        return np.einsum("adbc...,b...,c...,d...->a...", riem, X, Y, Z)
+
+    def nabla_r(W, X, Y, Z):
+        return np.einsum("adbce...,e...,b...,c...,d...->a...", nabla_riem, W, X, Y, Z)
+
+    m = d1.shape[1]
+    T = np.einsum("adbc...,bi...,cj...,d...->aij...", riem, d1, d1, u0)
+    xi1, L = np.zeros_like(u0), np.zeros_like(u0)
+    for j, jp, i, ip in np.ndindex(m, m, m, m):
+        g = ginv[i, ip] * ginv[j, jp]
+        if i == ip == 0:
+            L += ginv[j, jp] * curv(curv(u0, d1[:, j], u0), u0, d1[:, jp])
+        if nabla_riem is not None:
+            xi1 -= g * nabla_r(d1[:, jp], T[:, i, j], u0, d1[:, ip])
+            L += g * curv(nabla_r(d1[:, i], d1[:, ip], d1[:, j], u0), u0, d1[:, jp])
+        L += g * curv(curv(d1[:, i], sff[:, ip, j], u0), u0, d1[:, jp])
+        L += g * curv(curv(d1[:, i], d1[:, j], cd_u0[:, ip]), u0, d1[:, jp])
+        L += g * curv(T[:, i, j], cd_u0[:, ip], d1[:, jp])
+    tr = np.einsum("jk...,adbc...,bj...,c...,dk...->a...", ginv, riem, d1, omega0, d1)
+    return xi1, -2.0 * L, L - (lapbar_omega0 + tr) / 2.0
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2), (4, 3)])
+@pytest.mark.parametrize("node", [(), (1,), (125,), (8, 8)])
+@pytest.mark.parametrize("parallel", [False, True])
+def test_hat_tau4_values_match_frame_loop(n, m, node, parallel):
+    rng = np.random.default_rng(1000 * n + 10 * m + len(node))
+    a = rng.standard_normal((m, m) + node)
+    shapes = [(n, m), (n, m, m), (n, n, n, n), (n, n, n, n, n), (n,), (n, m), (n,), (n,)]
+    ops = [a + np.swapaxes(a, 0, 1)] + [rng.standard_normal(sh + node) for sh in shapes]
+    if parallel:  # nabla R = 0: the kernel skips xi_1 and L2
+        ops[4] = None
+    want = _hat_tau4_frame_loop(*ops)
+    got = pt.hat_tau4_values(*ops)
+    for w, g in zip(want, got):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    # a NaN anywhere in any operand must reach hat tau_4
+    for i, op in enumerate(ops):
+        if op is None:
+            continue
+        poisoned = list(ops)
+        poisoned[i] = op.copy()
+        poisoned[i].flat[rng.integers(op.size)] = np.nan
+        assert np.any(np.isnan(pt.hat_tau4_values(*poisoned)[2])), i
+
+
 def test_codifferential_of_covd_is_rough_laplacian(dom_bumpy, tgt_s2):
     # d* covd tau = lapbar tau; the bumpy circle has a non-zero domain Gamma,
     # which vanishes on every flat test torus

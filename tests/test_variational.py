@@ -89,6 +89,23 @@ def test_variation_sphere_k2(map_circle_sphere, dom_t1):
     assert va.first_variation_check(map_circle_sphere, v, 2) <= 1e-4
 
 
+def test_variation_check_runs_no_winding_detection(map_circle_sphere, dom_t1, monkeypatch):
+    # phi +- tV feed only energies, which read no winding, so V need not be
+    # periodic and the two maps keep phi's winding
+    calls = []
+    detect = fl._detect_winding
+
+    def counted(dom, exprs):
+        calls.append(exprs)
+        return detect(dom, exprs)
+
+    monkeypatch.setattr(fl, "_detect_winding", counted)
+    x = dom_t1.coords[0]
+    v = (x ** 2 / 10, sp.sin(x / 2) / 5)
+    assert np.isfinite(va.first_variation_check(map_circle_sphere, v, 1))
+    assert calls == []
+
+
 def test_sign_calibration():
     assert va.calibrate_variational_sign() == va.VARIATIONAL_SIGN == -1.0
 
