@@ -15,8 +15,11 @@ above them has one body over the node-wise kernels; only ``tension`` keeps
 its closed form in ``analytic_jet`` mode, because the tower differentiates
 it again.
 
-Every operation is node-wise (up to a stencil halo) and returns fresh
-containers; nothing here mutates shared state.
+Every operation is node-wise (up to a stencil halo).  What does not change
+is evaluated once and kept read-only: a :class:`GridPlan` holds the domain
+data of one grid (``grid_plan`` caches one per domain and grid shape), and
+each map keeps dphi, lap phi, Gamma at phi and tau on its instance, as it
+keeps ``periodic_values``.  Every other result is a fresh container.
 """
 from __future__ import annotations
 
@@ -35,12 +38,15 @@ from .geometry import DomainModel, TargetModel, _map_nested, grid_axes, lambdify
 
 __all__ = [
     "GridMap",
+    "GridPlan",
+    "grid_plan",
     "BundleSection",
     "MapDifferential",
     "VGrid",
     "differential",
     "second_fundamental_form",
     "tension",
+    "target_christoffel",
     "covariant_derivative",
     "rough_laplacian",
     "codifferential",
@@ -57,7 +63,8 @@ class GridMap:
     are symbolic; in ``grid_fd`` mode derivatives come from periodic centered
     stencils of order ``fd_order`` applied to ``values`` minus the winding.
     ``winding[a][i]`` is the slope of the non-periodic linear part of
-    component ``a`` along axis ``i``.
+    component ``a`` along axis ``i``.  ``values`` is a read-only private copy,
+    so no write can leave the per-map memo or ``periodic_values`` stale.
     """
 
     dom: DomainModel
@@ -71,7 +78,7 @@ class GridMap:
 
     def __post_init__(self):
         self.grid_shape = tuple(int(s) for s in self.grid_shape)
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = _read_only(np.array(self.values, dtype=float))
         if self.values.shape != (self.tgt.dim,) + self.grid_shape:
             raise ConfigurationError(
                 f"values shape {self.values.shape} != {(self.tgt.dim,) + self.grid_shape}"
@@ -110,8 +117,13 @@ class GridMap:
         return _axes_any(self.dom, self.grid_shape)
 
     @functools.cached_property
+    def plan(self) -> "GridPlan":
+        """The domain data of this map's grid, shared by every map on it."""
+        return grid_plan(self.dom, self.grid_shape)
+
+    @property
     def mesh(self):
-        return _mesh_any(self.dom, self.grid_shape)
+        return self.plan.mesh
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -129,13 +141,13 @@ class GridMap:
 
     @functools.cached_property
     def periodic_values(self) -> np.ndarray:
-        """Stored values minus the linear winding part."""
+        """Stored values minus the linear winding part (read-only)."""
         out = self.values.copy()
         for a in range(self.tgt.dim):
             for i in range(self.dom.dim):
                 if self.winding[a, i] != 0.0:
                     out[a] -= self.winding[a, i] * self.mesh[i]
-        return out
+        return _read_only(out)
 
     def eval_exprs(self, exprs) -> np.ndarray:
         """Evaluate nested symbolic expressions on this map's grid."""
@@ -177,6 +189,89 @@ def _axes_any(dom: DomainModel, shape):
 
 def _mesh_any(dom: DomainModel, shape):
     return np.meshgrid(*_axes_any(dom, shape), indexing="ij")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class GridPlan:
+    """The domain data on the nodes of one grid, each array evaluated on
+    first use and read-only: the mesh, g^{-1}, the domain Christoffels
+    Gamma^k_{ij}, the Laplace coefficients g^{ij} Gamma^k_{ij}, the Ricci
+    tensor, the jets of g^{-1} and Gamma, and the torus volume weights.  A
+    flow never changes its domain grid, so all its maps share one plan."""
+
+    dom: DomainModel
+    grid_shape: tuple[int, ...]
+
+    @functools.cached_property
+    def mesh(self):
+        return tuple(_read_only(x) for x in _mesh_any(self.dom, self.grid_shape))
+
+    @functools.cached_property
+    def ginv(self) -> np.ndarray:
+        return _read_only(self.dom.metric_inv(*self.mesh))
+
+    @functools.cached_property
+    def christoffel(self) -> np.ndarray:
+        return _read_only(self.dom.christoffel(*self.mesh))
+
+    @functools.cached_property
+    def laplace_coefs(self) -> np.ndarray:
+        """g^{ij} Gamma^k_{ij}, the first-order coefficients of the
+        Laplace-Beltrami operator: shape (m,) + grid."""
+        return _read_only(np.stack([np.einsum("ij...,ij...->...", self.ginv, self.christoffel[k])
+                                    for k in range(self.dom.dim)]))
+
+    @functools.cached_property
+    def ricci(self) -> np.ndarray:
+        return _read_only(self.dom.ricci(*self.mesh))
+
+    @functools.cached_property
+    def ginv_jet(self) -> np.ndarray:
+        """d g^{kj} / dx^i: shape (m, m, m) + grid."""
+        return _read_only(self.dom.metric_inv_jet(*self.mesh))
+
+    @functools.cached_property
+    def christoffel_jet(self) -> np.ndarray:
+        """d Gamma^p_{lj} / dx^i: shape (m, m, m, m) + grid."""
+        return _read_only(self.dom.christoffel_jet(*self.mesh))
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """sqrt(det g) times the cell volume at the nodes of a periodic grid."""
+        dom, grid_shape = self.dom, self.grid_shape
+        g = dom.metric(*self.mesh)
+        gmat = np.moveaxis(g.reshape((dom.dim, dom.dim, -1)), -1, 0)
+        det = np.linalg.det(gmat).reshape(grid_shape)
+        cell = float(np.prod([(hi - lo) / n for lo, hi, n in zip(dom.chart.lo, dom.chart.hi, grid_shape)]))
+        return _read_only(np.sqrt(det) * cell)
+
+
+@functools.lru_cache(maxsize=8)
+def grid_plan(dom: DomainModel, grid_shape: tuple[int, ...]) -> GridPlan:
+    """The one plan of a (domain, grid shape) pair; the eight most recently
+    used pairs are kept, and a map keeps the plan it first read."""
+    return GridPlan(dom, grid_shape)
+
+
+def _per_map(compute):
+    """Run ``compute(gmap)`` once per map and keep its array read-only on the
+    instance: the operators read dphi, lap phi, Gamma at phi and tau many
+    times on a map whose values never change."""
+    slot = "_memo_" + compute.__name__
+
+    @functools.wraps(compute)
+    def memoised(gmap: "GridMap") -> np.ndarray:
+        memo = gmap.__dict__
+        if slot not in memo:
+            memo[slot] = _read_only(compute(gmap))
+        return memo[slot]
+
+    return memoised
 
 
 # chart-coordinate offsets of the winding probes from the first probe point
@@ -279,16 +374,15 @@ def grid_partials(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
 def _laplace_beltrami(gmap: GridMap, arr: np.ndarray, slope: np.ndarray | None = None) -> np.ndarray:
     """Domain Laplace-Beltrami (geometer's sign) of every component of a
     periodic array of shape ``F + grid``; g^{-1} and the first-order
-    coefficients g^{ij} Gamma^k_{ij} are evaluated once for all components.
+    coefficients g^{ij} Gamma^k_{ij} come from the grid's plan.
     ``slope`` (shape ``F + (m,)``) adds the Laplacian of a linear part with
     those constant partials, which only the first-order term sees."""
     gmap.require_fd_grid()
-    mesh = gmap.mesh
     hs = gmap.spacings
     m = gmap.dom.dim
     lead = arr.ndim - m
-    ginv = gmap.dom.metric_inv(*mesh)
-    gam = gmap.dom.christoffel(*mesh)
+    ginv = gmap.plan.ginv
+    coefs = gmap.plan.laplace_coefs
     out = np.zeros_like(arr)
     for i in range(m):
         for j in range(m):
@@ -296,7 +390,6 @@ def _laplace_beltrami(gmap: GridMap, arr: np.ndarray, slope: np.ndarray | None =
             if np.all(gij == 0):
                 continue
             out -= gij * stencils.partial2(arr, lead + i, lead + j, hs[i], hs[j], gmap.fd_order)
-    coefs = [np.einsum("ij...,ij...->...", ginv, gam[k]) for k in range(m)]
     for k, coef in enumerate(coefs):
         if np.any(coef != 0):
             out += coef * stencils.diff1(arr, lead + k, hs[k], gmap.fd_order)
@@ -344,8 +437,9 @@ def section_laplacians(gmap: GridMap, values: np.ndarray, exprs=None) -> np.ndar
     return grid_laplacians(gmap, values)
 
 
+@_per_map
 def dphi_values(gmap: GridMap) -> np.ndarray:
-    """dphi^a_i per node: shape (n, m) + grid."""
+    """dphi^a_i per node: shape (n, m) + grid (read-only, once per map)."""
     if gmap.eval_mode == "analytic_jet":
         return gmap.eval_exprs(gmap.engine.dphi)
     return map_partials(gmap)
@@ -380,9 +474,10 @@ def map_second_partials(gmap: GridMap) -> np.ndarray:
     return out
 
 
+@_per_map
 def map_laplacian(gmap: GridMap) -> np.ndarray:
-    """lap phi^a: shape (n,) + grid; on stencils the winding contributes only
-    through the first-order term."""
+    """lap phi^a: shape (n,) + grid (read-only, once per map); on stencils
+    the winding contributes only through the first-order term."""
     if gmap.eval_mode == "analytic_jet":
         return gmap.eval_exprs(gmap.engine.lap_phi)
     return _laplace_beltrami(gmap, gmap.periodic_values, gmap.winding)
@@ -443,8 +538,8 @@ def trace_R_dphi_frame(ginv, riem, d1) -> np.ndarray:
 def a_term_data(gmap: GridMap) -> tuple:
     """The node arrays the A-term reads after its two slots: g^{-1}, dphi,
     lap phi, Gamma, S."""
-    return (gmap.dom.metric_inv(*gmap.mesh), dphi_values(gmap), map_laplacian(gmap),
-            gmap.tgt.christoffel(*gmap.values), gmap.tgt.s_tensor(*gmap.values))
+    return (gmap.plan.ginv, dphi_values(gmap), map_laplacian(gmap),
+            target_christoffel(gmap), gmap.tgt.s_tensor(*gmap.values))
 
 
 # ---------------------------------------------------------------------------
@@ -456,34 +551,41 @@ def second_fundamental_form(gmap: GridMap) -> np.ndarray:
     """nabla dphi^a_{ij} per node: shape (n, m, m) + grid."""
     d1 = dphi_values(gmap)
     d2 = map_second_partials(gmap)
-    mesh = gmap.mesh
-    gam_dom = gmap.dom.christoffel(*mesh)
-    gam_tgt = gmap.tgt.christoffel(*gmap.values)
+    gam_dom = gmap.plan.christoffel
+    gam_tgt = target_christoffel(gmap)
     out = d2.copy()
     out -= np.einsum("kij...,ak...->aij...", gam_dom, d1)
     out += np.einsum("abc...,bi...,cj...->aij...", gam_tgt, d1, d1)
     return out
 
 
-def tension(gmap: GridMap) -> BundleSection:
-    """tau^a = -lap phi^a + g^{ij} Gamma^a_{tb} phi^t_i phi^b_j; in
-    analytic_jet mode the closed form is kept, because the tower
-    differentiates it again."""
+@_per_map
+def target_christoffel(gmap: GridMap) -> np.ndarray:
+    """Gamma^a_{bc} of the target at the node values: shape (n, n, n) + grid
+    (read-only, once per map)."""
+    return gmap.tgt.christoffel(*gmap.values)
+
+
+@_per_map
+def _tension_values(gmap: GridMap) -> np.ndarray:
     if gmap.eval_mode == "analytic_jet":
-        eng = gmap.engine
-        return BundleSection(gmap, gmap.eval_exprs(eng.tension), exprs=eng.tension)
-    d1 = map_partials(gmap)
-    lap = map_laplacian(gmap)
-    ginv = gmap.dom.metric_inv(*gmap.mesh)
-    gam_tgt = gmap.tgt.christoffel(*gmap.values)
-    return BundleSection(gmap, -lap + gamma_trace(ginv, gam_tgt, d1))
+        return gmap.eval_exprs(gmap.engine.tension)
+    return -map_laplacian(gmap) + gamma_trace(gmap.plan.ginv, target_christoffel(gmap), dphi_values(gmap))
+
+
+def tension(gmap: GridMap) -> BundleSection:
+    """tau^a = -lap phi^a + g^{ij} Gamma^a_{tb} phi^t_i phi^b_j, its values
+    read-only and evaluated once per map; in analytic_jet mode the closed
+    form is kept, because the tower differentiates it again."""
+    exprs = gmap.engine.tension if gmap.eval_mode == "analytic_jet" else None
+    return BundleSection(gmap, _tension_values(gmap), exprs=exprs)
 
 
 def covariant_derivative(sigma: BundleSection) -> VGrid:
     """(covd sigma)^a_i = d_i sigma^a + Gamma^a_{bg} phi^b_i sigma^g."""
     gmap = sigma.base
     vals = covd_values(section_partials(gmap, sigma.values, sigma.exprs),
-                       gmap.tgt.christoffel(*gmap.values), dphi_values(gmap), sigma.values)
+                       target_christoffel(gmap), dphi_values(gmap), sigma.values)
     return VGrid(gmap, vals)
 
 
@@ -506,11 +608,10 @@ def codifferential(gmap: GridMap, w: np.ndarray, w_exprs=None) -> np.ndarray:
 
     (d* w)^a = -g^{kl} (d_k w_l^a + Gamma^a_{bc} phi^b_k w_l^c - Gamma^p_{kl} w_p^a).
     """
-    mesh = gmap.mesh
     cov = np.moveaxis(section_partials(gmap, w, w_exprs), 2, 0)  # [k, l, a] = d_k w_l^a
-    cov += np.einsum("abc...,bk...,lc...->kla...", gmap.tgt.christoffel(*gmap.values), dphi_values(gmap), w)
-    cov -= np.einsum("pkl...,pa...->kla...", gmap.dom.christoffel(*mesh), w)
-    return -np.einsum("kl...,kla...->a...", gmap.dom.metric_inv(*mesh), cov)
+    cov += np.einsum("abc...,bk...,lc...->kla...", target_christoffel(gmap), dphi_values(gmap), w)
+    cov -= np.einsum("pkl...,pa...->kla...", gmap.plan.christoffel, w)
+    return -np.einsum("kl...,kla...->a...", gmap.plan.ginv, cov)
 
 
 def weitzenbock_residual(gmap: GridMap) -> np.ndarray:
@@ -523,11 +624,10 @@ def weitzenbock_residual(gmap: GridMap) -> np.ndarray:
     """
     if gmap.eval_mode == "grid_fd":
         warnings.warn("weitzenbock_residual in grid_fd mode is stencil-limited; expect looser tolerances")
-    mesh = gmap.mesh
-    ginv = gmap.dom.metric_inv(*mesh)
-    gam_dom = gmap.dom.christoffel(*mesh)
-    ric = gmap.dom.ricci(*mesh)
-    gam = gmap.tgt.christoffel(*gmap.values)
+    ginv = gmap.plan.ginv
+    gam_dom = gmap.plan.christoffel
+    ric = gmap.plan.ricci
+    gam = target_christoffel(gmap)
     riem = gmap.tgt.riemann(*gmap.values)
     d1 = dphi_values(gmap)
     P = second_fundamental_form(gmap)

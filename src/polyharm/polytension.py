@@ -38,13 +38,12 @@ from .fields import (
     covd_values,
     dphi_values,
     frame_trace,
-    gamma_trace,
     grid_laplacians,
     grid_partials,
-    map_partials,
     rough_laplacian,
     second_fundamental_form,
     section_partials,
+    target_christoffel,
     tension,
 )
 
@@ -181,14 +180,13 @@ def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower
         return TensionTower(k, u, v, a)
     tower = _build_tower_fd(gmap, k)
     if richardson:
-        tower.richardson_error = _richardson_estimate(gmap, k)
+        tower.richardson_error = _richardson_estimate(gmap, k, tower.u[-1].values)
     return tower
 
 
 def _build_tower_fd(gmap: GridMap, k: int) -> TensionTower:
     data = a_term_data(gmap)
-    ginv, d1, lap, gam, _ = data
-    u = [BundleSection(gmap, -lap + gamma_trace(ginv, gam, d1))]
+    u = [tension(gmap)]
     v: list[VGrid] = []
     a: list[BundleSection] = []
     for _ in range(k - 1):
@@ -201,9 +199,10 @@ def _build_tower_fd(gmap: GridMap, k: int) -> TensionTower:
     return TensionTower(k, u, v, a)
 
 
-def _richardson_estimate(gmap: GridMap, k: int) -> float | None:
-    """Top-level error estimate from the grid and its every-other-node
-    subsample; None when the subsample is too coarse for the tower."""
+def _richardson_estimate(gmap: GridMap, k: int, top_fine: np.ndarray) -> float | None:
+    """Top-level error estimate from the top level ``top_fine`` of the grid's
+    tower and the tower of its every-other-node subsample; None when the
+    subsample is too coarse for the tower."""
     if any(s % 2 or s < 2 * stencils.stencil_width(gmap.fd_order) for s in gmap.grid_shape):
         return None
     slicer = tuple([slice(None)] + [slice(None, None, 2)] * gmap.dom.dim)
@@ -212,9 +211,8 @@ def _richardson_estimate(gmap: GridMap, k: int) -> float | None:
         check_tower_resolution(coarse, k)
     except ConfigurationError:
         return None
-    top_f = _build_tower_fd(gmap, k).u[-1].values[slicer]
     top_c = _build_tower_fd(coarse, k).u[-1].values
-    return float(np.max(np.abs(top_f - top_c)) / (2 ** gmap.fd_order - 1))
+    return float(np.max(np.abs(top_fine[slicer] - top_c)) / (2 ** gmap.fd_order - 1))
 
 
 def tau_k(gmap: GridMap, k: int, tower: TensionTower | None = None) -> BundleSection:
@@ -249,10 +247,10 @@ def tau_k_from_tower(k: int, ginv, d1, riem, gam, u: list, v: list) -> np.ndarra
 def _tau_k_fd(gmap: GridMap, k: int, tower: TensionTower) -> BundleSection:
     vals = tau_k_from_tower(
         k,
-        gmap.dom.metric_inv(*gmap.mesh),
-        map_partials(gmap),
+        gmap.plan.ginv,
+        dphi_values(gmap),
         gmap.tgt.riemann(*gmap.values),
-        gmap.tgt.christoffel(*gmap.values),
+        target_christoffel(gmap),
         [sec.values for sec in tower.u],
         [vg.values for vg in tower.v],
     )
@@ -291,10 +289,10 @@ def fk_literal_values(gmap: GridMap, k: int, u: list[np.ndarray], v: list[np.nda
                       a_top: np.ndarray) -> np.ndarray:
     """Numeric top block F^k in the literal coordinate form; ``u`` holds
     levels 0..k-2, ``v`` their partials, ``a_top`` the A-term of order k-1."""
-    ginv = gmap.dom.metric_inv(*gmap.mesh)
+    ginv = gmap.plan.ginv
     d1 = dphi_values(gmap)
     riem = gmap.tgt.riemann(*gmap.values)
-    gam = gmap.tgt.christoffel(*gmap.values)
+    gam = target_christoffel(gmap)
     e_t = gmap.tgt.e_tensor(*gmap.values)
 
     def term_R_uv(u_sec, v_tab):
@@ -320,7 +318,7 @@ def bitension_reference(gmap: GridMap) -> BundleSection:
     with the curvature term contracted directly on evaluated arrays."""
     tau = tension(gmap)
     lb = rough_laplacian(tau)
-    ginv = gmap.dom.metric_inv(*gmap.mesh)
+    ginv = gmap.plan.ginv
     d1 = dphi_values(gmap)
     riem = gmap.tgt.riemann(*gmap.values)
     curv = np.einsum("ij...,adbc...,bi...,c...,dj...->a...", ginv, riem, d1, tau.values, d1)
@@ -427,7 +425,7 @@ def es4_terms(gmap: GridMap) -> ES4Terms:
     omega0 = gmap.eval_exprs(eng.omega0)
     tau = tension(gmap)
     xi1, _, hat = hat_tau4_values(
-        gmap.dom.metric_inv(*gmap.mesh), dphi_values(gmap), second_fundamental_form(gmap),
+        gmap.plan.ginv, dphi_values(gmap), second_fundamental_form(gmap),
         gmap.tgt.riemann(*gmap.values), gmap.tgt.nabla_riemann(*gmap.values),
         tau.values, covariant_derivative(tau).values, omega0, path_a)
     return ES4Terms(BundleSection(gmap, omega0, exprs=eng.omega0), gmap.eval_exprs(eng.omega1),

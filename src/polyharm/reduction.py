@@ -32,6 +32,7 @@ from .fields import (
     map_laplacian_partials,
     second_fundamental_form,
     section_partials,
+    target_christoffel,
 )
 from .polytension import (
     TensionTower,
@@ -172,11 +173,11 @@ def _commutator_values(gmap: GridMap, w: np.ndarray, dw: np.ndarray) -> np.ndarr
                + g^{lj} dGam^p_{lj}/dx^i) w^c_p.
     Zero on flat domain charts, where callers skip it.
     """
-    mesh = gmap.mesh
-    dginv = gmap.dom.metric_inv_jet(*mesh)          # [k, j, i]
-    ginv = gmap.dom.metric_inv(*mesh)
-    gam = gmap.dom.christoffel(*mesh)               # [p, l, j]
-    dgam = gmap.dom.christoffel_jet(*mesh)          # [p, l, j, i]
+    plan = gmap.plan
+    dginv = plan.ginv_jet                           # [k, j, i]
+    ginv = plan.ginv
+    gam = plan.christoffel                          # [p, l, j]
+    dgam = plan.christoffel_jet                     # [p, l, j, i]
     out = np.einsum("kji...,ckj...->ci...", dginv, dw)
     coef = np.einsum("lji...,plj...->pi...", dginv, gam)
     coef += np.einsum("lj...,plji...->pi...", ginv, dgam)
@@ -186,10 +187,7 @@ def _commutator_values(gmap: GridMap, w: np.ndarray, dw: np.ndarray) -> np.ndarr
 
 def _lap_phi_identity(gmap: GridMap, tower: TensionTower) -> np.ndarray:
     """lap phi^a = -u_0^a + g^{ij} Gamma^a_{bg} dphi^b_i dphi^g_j, analytically."""
-    d1 = dphi_values(gmap)
-    ginv = gmap.dom.metric_inv(*gmap.mesh)
-    gam = gmap.tgt.christoffel(*gmap.values)
-    return -tower.u[0].values + gamma_trace(ginv, gam, d1)
+    return -tower.u[0].values + gamma_trace(gmap.plan.ginv, target_christoffel(gmap), dphi_values(gmap))
 
 
 def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = True) -> BlockRHS:

@@ -38,7 +38,7 @@ from .fields import (
     gamma_trace,
     tension,
 )
-from .geometry import DomainModel, grid_axes, round_sphere_polar, sphere_cap_domain
+from .geometry import round_sphere_polar, sphere_cap_domain
 from .polytension import (
     build_tower,
     curv_2form_values,
@@ -90,21 +90,7 @@ class EnergyReport:
 def _volume_weights(gmap: GridMap) -> np.ndarray:
     if not gmap.is_periodic:
         raise ConfigurationError("energies need a periodic domain grid (torus quadrature)")
-    return _torus_weights(gmap.dom, gmap.grid_shape)
-
-
-@functools.lru_cache(maxsize=8)
-def _torus_weights(dom: DomainModel, grid_shape: tuple[int, ...]) -> np.ndarray:
-    """sqrt(det g) times the cell volume at the nodes of a periodic grid, as
-    a read-only array: a flow never changes its domain grid, so all its
-    energies share one evaluation."""
-    g = dom.metric(*np.meshgrid(*grid_axes(dom, grid_shape), indexing="ij"))
-    gmat = np.moveaxis(g.reshape((dom.dim, dom.dim, -1)), -1, 0)
-    det = np.linalg.det(gmat).reshape(grid_shape)
-    cell = float(np.prod([(hi - lo) / n for lo, hi, n in zip(dom.chart.lo, dom.chart.hi, grid_shape)]))
-    out = np.sqrt(det) * cell
-    out.flags.writeable = False
-    return out
+    return gmap.plan.weights
 
 
 def integrate(gmap: GridMap, scalar: np.ndarray) -> float:
@@ -122,7 +108,7 @@ def energy_k(gmap: GridMap, k: int) -> EnergyReport:
     if k < 1:
         raise ConfigurationError("energy order must be >= 1")
     h = _h_at(gmap)
-    ginv = gmap.dom.metric_inv(*gmap.mesh)
+    ginv = gmap.plan.ginv
     if k == 1:
         d1 = dphi_values(gmap)
         density = np.einsum("ij...,ab...,ai...,bj...->...", ginv, h, d1, d1)
@@ -143,7 +129,7 @@ def energy_k(gmap: GridMap, k: int) -> EnergyReport:
 def energy_es4(gmap: GridMap) -> EnergyReport:
     """1/2 int |lapbar tau|^2 + 1/4 int |R(dphi_i, dphi_j) tau|^2."""
     h = _h_at(gmap)
-    ginv = gmap.dom.metric_inv(*gmap.mesh)
+    ginv = gmap.plan.ginv
     tower = build_tower(gmap, 2)
     u1 = tower.u[1].values
     main = np.einsum("ab...,a...,b...->...", h, u1, u1)

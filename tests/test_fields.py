@@ -1,5 +1,7 @@
 """First-order operators: differential, second fundamental form, tension,
 section calculus and the commutation-identity residual."""
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -10,6 +12,7 @@ from polyharm import geometry as geo
 from polyharm import stencils
 from polyharm import polytension as pt
 from polyharm import reduction as red
+from polyharm import variational as va
 from polyharm.errors import CapabilityError, ChartDomainError, ConfigurationError
 
 from conftest import observed_order
@@ -412,3 +415,177 @@ def test_user_metric_target_matches_builtin(dom_t1, tgt_s2):
     tau_builtin = fl.tension(fl.GridMap.from_exprs(dom_t1, tgt_s2, (16,), exprs))
     tau_generic = fl.tension(fl.GridMap.from_exprs(dom_t1, generic, (16,), exprs))
     assert np.max(np.abs(tau_builtin.values - tau_generic.values)) <= 1e-12
+
+
+# -- the per-grid plan and the per-map memo -------------------------------------
+
+
+class _FreshPlan:
+    """The domain data of a grid evaluated anew on every read, as every
+    operator evaluated it before the per-grid plan."""
+
+    def __init__(self, gm):
+        self.dom, self.grid_shape = gm.dom, gm.grid_shape
+
+    @property
+    def mesh(self):
+        return np.meshgrid(*fl._axes_any(self.dom, self.grid_shape), indexing="ij")
+
+    @property
+    def ginv(self):
+        return self.dom.metric_inv(*self.mesh)
+
+    @property
+    def christoffel(self):
+        return self.dom.christoffel(*self.mesh)
+
+    @property
+    def laplace_coefs(self):
+        return [np.einsum("ij...,ij...->...", self.ginv, self.christoffel[k]) for k in range(self.dom.dim)]
+
+    @property
+    def ricci(self):
+        return self.dom.ricci(*self.mesh)
+
+    @property
+    def ginv_jet(self):
+        return self.dom.metric_inv_jet(*self.mesh)
+
+    @property
+    def christoffel_jet(self):
+        return self.dom.christoffel_jet(*self.mesh)
+
+    @property
+    def weights(self):
+        dom, shape = self.dom, self.grid_shape
+        g = dom.metric(*np.meshgrid(*geo.grid_axes(dom, shape), indexing="ij"))
+        det = np.linalg.det(np.moveaxis(g.reshape((dom.dim, dom.dim, -1)), -1, 0)).reshape(shape)
+        cell = float(np.prod([(hi - lo) / n for lo, hi, n in zip(dom.chart.lo, dom.chart.hi, shape)]))
+        return np.sqrt(det) * cell
+
+
+def _uncached_dphi(gm):
+    return gm.eval_exprs(gm.engine.dphi) if gm.eval_mode == "analytic_jet" else fl.map_partials(gm)
+
+
+def _uncached_lap_phi(gm):
+    if gm.eval_mode == "analytic_jet":
+        return gm.eval_exprs(gm.engine.lap_phi)
+    return fl._laplace_beltrami(gm, gm.periodic_values, gm.winding)
+
+
+def _uncached_target_christoffel(gm):
+    return gm.tgt.christoffel(*gm.values)
+
+
+def _uncached_tension(gm):
+    if gm.eval_mode == "analytic_jet":
+        return gm.eval_exprs(gm.engine.tension)
+    return -_uncached_lap_phi(gm) + fl.gamma_trace(gm.dom.metric_inv(*gm.mesh),
+                                                   _uncached_target_christoffel(gm), fl.map_partials(gm))
+
+
+def _uncache(mp):
+    """Route every read of the plan and the memo to the formulas above."""
+    mp.setattr(fl.GridMap, "plan", property(_FreshPlan))
+    formulas = {"dphi_values": _uncached_dphi, "map_laplacian": _uncached_lap_phi,
+                "target_christoffel": _uncached_target_christoffel, "_tension_values": _uncached_tension}
+    for mod in (fl, pt, red, va):
+        for name, formula in formulas.items():
+            if hasattr(mod, name):
+                mp.setattr(mod, name, formula)
+
+
+def _cold_copy(gm):
+    """A new map with gm's values and symbolic engine, an empty memo and a
+    plan of its own."""
+    new = fl.GridMap(gm.dom, gm.tgt, gm.grid_shape, gm.values, gm.eval_mode, gm.exprs,
+                     gm.winding.copy(), gm.fd_order)
+    if gm.eval_mode == "analytic_jet":
+        new.__dict__["engine"] = gm.engine
+    new.__dict__["plan"] = fl.GridPlan(gm.dom, gm.grid_shape)
+    return new
+
+
+def _memo_quantities(gm):
+    n, m = gm.tgt.dim, gm.dom.dim
+    w = np.moveaxis(fl.dphi_values(gm), 1, 0)
+    w_exprs = ([[gm.engine.dphi[a][l] for a in range(n)] for l in range(m)]
+               if gm.eval_mode == "analytic_jet" else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        weitzenbock = fl.weitzenbock_residual(gm)
+    out = {
+        "tension": fl.tension(gm).values,
+        "tau_2": pt.tau_k(gm, 2).values,
+        "tau_3": pt.tau_k(gm, 3).values,
+        "tau4_explicit": pt.tau4_explicit(gm).values,
+        "second_ff": fl.second_fundamental_form(gm),
+        "codifferential": fl.codifferential(gm, w, w_exprs),
+        "weitzenbock": weitzenbock,
+        "aronszajn": red.aronszajn_ratio(gm, 3).ratio,
+    }
+    out.update((f"energy_{k}", va.energy_k(gm, k).value) for k in (1, 2, 3))
+    return out
+
+
+@pytest.fixture(scope="module")
+def memo_maps(dom_t2, dom_bumpy, tgt_s2):
+    """The flat torus and a non-flat circle into S^2 in both modes.  The
+    analytic maps are ones whose symbolic tau_4 stays small; the grid_fd
+    grids are fine enough for the tau_4 tower."""
+    x1, x2 = dom_t2.coords
+    x = dom_bumpy.coords[0]
+    return {
+        ("torus_sphere", "analytic_jet"): fl.GridMap.from_exprs(
+            dom_t2, tgt_s2, (12, 12), (x1, sp.pi / 2 + sp.sin(x2) / 4)),
+        ("torus_sphere", "grid_fd"): fl.GridMap.from_exprs(
+            dom_t2, tgt_s2, (48, 48), (x1 + sp.sin(x2) / 5, sp.pi / 2 + sp.cos(x1) / 4), eval_mode="grid_fd"),
+        ("bumpy_sphere", "analytic_jet"): fl.GridMap.from_exprs(dom_bumpy, tgt_s2, (16,), (x, sp.pi / 2)),
+        ("bumpy_sphere", "grid_fd"): fl.GridMap.from_exprs(
+            dom_bumpy, tgt_s2, (48,), (x, sp.pi / 2 + sp.sin(x) / 4), eval_mode="grid_fd"),
+    }
+
+
+@pytest.mark.parametrize("mode", ["analytic_jet", "grid_fd"])
+@pytest.mark.parametrize("case", ["torus_sphere", "bumpy_sphere"])
+def test_plan_and_memo_equal_uncached_formulas(memo_maps, case, mode, monkeypatch):
+    gm = memo_maps[(case, mode)]
+    with monkeypatch.context() as mp:
+        _uncache(mp)
+        want = _memo_quantities(_cold_copy(gm))
+    cached = _cold_copy(gm)
+    cold = _memo_quantities(cached)
+    warm = _memo_quantities(cached)
+    for name, value in want.items():
+        assert np.array_equal(cold[name], value), name
+        assert np.array_equal(warm[name], value), name
+    plan = cached.plan
+    kept = [*plan.mesh, plan.ginv, plan.christoffel, plan.laplace_coefs, plan.ricci, plan.ginv_jet,
+            plan.christoffel_jet, plan.weights, cached.values, cached.periodic_values,
+            fl.dphi_values(cached), fl.map_laplacian(cached), fl.target_christoffel(cached),
+            fl.tension(cached).values]
+    assert not any(arr.flags.writeable for arr in kept)
+
+
+def test_grid_and_subsample_get_their_own_plans(dom_t1, tgt_s2):
+    x = dom_t1.coords[0]
+    gm = fl.GridMap.from_exprs(dom_t1, tgt_s2, (64,), (x, sp.pi / 2 + sp.sin(x) / 4), eval_mode="grid_fd")
+    coarse = gm.replace_values(gm.values[:, ::2])
+    assert coarse.plan is not gm.plan
+    assert coarse.plan.ginv.shape == (1, 1, 32) and gm.plan.ginv.shape == (1, 1, 64)
+    assert gm.replace_values(gm.values).plan is gm.plan
+    assert fl.grid_plan(dom_t1, (64,)) is gm.plan
+
+
+def test_grid_map_values_are_a_read_only_copy(dom_t1, tgt_s2):
+    x = geo.grid_axes(dom_t1, (16,))[0]
+    arr = np.stack([x, np.pi / 2 + np.sin(x) / 4])
+    gm = fl.GridMap.from_values(dom_t1, tgt_s2, arr, winding=[[1.0], [0.0]])
+    assert arr.flags.writeable
+    arr[1] = 0.0
+    assert np.all(gm.values[1] > 1.0)
+    with pytest.raises(ValueError):
+        gm.values[1, 0] = 0.0
+    with pytest.raises(ValueError):
+        gm.values += 1.0

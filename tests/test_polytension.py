@@ -136,6 +136,21 @@ def test_tower_richardson_estimate(dom_t1, tgt_s2):
     assert tower.richardson_error is not None and 0 < tower.richardson_error < 1e-2
 
 
+def test_richardson_estimate_reuses_the_fine_tower(dom_t1, tgt_s2, monkeypatch):
+    x = dom_t1.coords[0]
+    gm = fl.GridMap.from_exprs(dom_t1, tgt_s2, (128,),
+                               (x, sp.pi / 2 + sp.sin(x) / 3), eval_mode="grid_fd")
+    build = pt._build_tower_fd
+    built = []
+    monkeypatch.setattr(pt, "_build_tower_fd", lambda g, k: (built.append(g.grid_shape), build(g, k))[1])
+    tower = pt.build_tower(gm, 3, richardson=True)
+    assert built == [(128,), (64,)]
+    coarse = gm.replace_values(gm.values[:, ::2])
+    top_f = build(gm, 3).u[-1].values[:, ::2]
+    want = float(np.max(np.abs(top_f - build(coarse, 3).u[-1].values)) / (2 ** gm.fd_order - 1))
+    assert tower.richardson_error == want
+
+
 def test_latitude_tower_matches_point_evaluator(map_latitude):
     from polyharm.variational import latitude_reduction
 

@@ -256,6 +256,28 @@ def test_flow_harmonic_is_stationary(harmonic_maps, dom_t1, tgt_s2):
     assert res.halvings == 0
 
 
+def test_flow_evaluates_domain_once_per_grid_and_target_gamma_once_per_map():
+    # a fresh domain model, so no plan of its grid exists yet
+    dom = geo.flat_torus(1)
+    tgt = geo.round_sphere_polar(2)
+    x = dom.coords[0]
+    gm = fl.GridMap.from_exprs(dom, tgt, (32,), (x, sp.pi / 2 + sp.sin(3 * x) / 1000), eval_mode="grid_fd")
+    domain_calls, gamma_calls = [], []
+
+    def counted(evaluator, log, key):
+        return lambda *pts: (log.append(key(pts)), evaluator(*pts))[1]
+
+    for name in ("metric", "metric_inv", "christoffel", "christoffel_jet", "ricci", "metric_inv_jet"):
+        dom.__dict__[name] = counted(getattr(dom, name), domain_calls, lambda pts, name=name: name)
+    # the node values of the map whose Gamma is evaluated
+    tgt.__dict__["christoffel"] = counted(tgt.christoffel, gamma_calls, lambda pts: pts[0].base)
+    res = va.gradient_flow(gm, 2, dt=3e-4, steps=5)
+    assert res.accepted_steps == 5
+    assert sorted(domain_calls) == sorted(set(domain_calls)) and "metric_inv" in domain_calls
+    assert len(gamma_calls) >= 6
+    assert len({id(values) for values in gamma_calls}) == len(gamma_calls)
+
+
 def test_flow_k1_converges(dom_t2, tgt_e2):
     x1, x2 = dom_t2.coords
     gm = fl.GridMap.from_exprs(dom_t2, tgt_e2, (32, 32),
