@@ -37,8 +37,8 @@ COMMANDS = (
 
 _FIELDS = {
     "schema_version", "command", "domain", "target", "map", "map2", "order",
-    "grid_shape", "eval_mode", "fd_order", "window", "kind", "tolerances",
-    "seed", "workers", "latitude", "flow", "variation", "out",
+    "grid_shape", "eval_mode", "fd_order", "window", "kind", "latitude", "flow",
+    "variation", "out",
 }
 
 
@@ -55,9 +55,6 @@ class ExperimentConfig:
     fd_order: int = 4
     window: list | None = None
     kind: str = "plain"
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 0
-    workers: int = 1
     latitude: dict | None = None
     flow: dict | None = None
     variation: dict | None = None
@@ -235,9 +232,4 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         diags.append("flow needs flow.dt and flow.steps")
     if cfg.command == "latitude-search" and not (cfg.latitude and "m" in cfg.latitude):
         diags.append("latitude-search needs latitude.m (and latitude.order or order)")
-    if cfg.workers < 1:
-        diags.append("workers must be >= 1")
-    if cfg.tolerances:
-        diags.append(f"tolerances {sorted(cfg.tolerances)} cannot be set: every check uses its "
-                     "built-in tolerance (the key is accepted only empty)")
     return diags

@@ -1,17 +1,17 @@
 """Exact symbolic leaves for closed-form maps (the ``analytic_jet`` mode).
 
 The engine keeps sympy expressions in the domain coordinates only for what
-is differentiated again or serves as a symbolic oracle: the differential,
-lap phi and the second fundamental form, the tension tower with its A-terms
-and partials, both assemblies of tau_k (the covariant recursion and the
-literal F^k), Omega_0, Omega_1 and the tensorial Leibniz expansion of
-covd Omega_0.  Quantities that nothing differentiates afterwards (covariant
-derivatives, section Laplacians, codifferentials, hence both lapbar Omega_0
-paths and d* Omega_1, the Weitzenboeck defect, xi_1 and hat tau_4, the
-reduced-system blocks) are assembled from evaluated leaves by the numeric
-kernels in ``fields`` and ``polytension``.  Derivatives are symbolic, hence
-exact; grids only enter at evaluation time through cached
-``geometry.lambdify_tensor`` callables.
+is differentiated again: the differential, lap phi and the second
+fundamental form, the tension tower with its A-terms and partials,
+Omega_0, Omega_1 and the tensorial Leibniz expansion of covd Omega_0.
+Everything assembled on top of these leaves without differentiating it again
+(both routes to tau_k, covariant derivatives, section Laplacians,
+codifferentials, hence both lapbar Omega_0 paths and d* Omega_1, the
+Weitzenboeck defect, xi_1 and hat tau_4, the reduced-system blocks) comes
+from evaluated leaves through the numeric kernels in ``fields`` and
+``polytension``, the same kernels the ``grid_fd`` mode runs.  Derivatives
+are symbolic, hence exact; grids only enter at evaluation time through
+cached ``geometry.lambdify_tensor`` callables.
 
 Target-model tensors are computed once per model in target coordinates and
 composed with the map expression here.  On purely rational data (e.g. the
@@ -70,10 +70,6 @@ class MapEngine:
         return self._compose(obj)
 
     @functools.cached_property
-    def g(self):
-        return self.dom.metric_exprs
-
-    @functools.cached_property
     def ginv(self):
         return self.dom.metric_inv_exprs
 
@@ -88,10 +84,6 @@ class MapEngine:
     @functools.cached_property
     def s_tensor_c(self):
         return self._compose_nested(self.tgt.s_tensor_exprs)
-
-    @functools.cached_property
-    def e_tensor_c(self):
-        return self._compose_nested(self.tgt.e_tensor_exprs)
 
     @functools.cached_property
     def riemann_c(self):
@@ -224,10 +216,6 @@ class MapEngine:
             self._tower_u.append(nxt)
         return self._tower_u[: depth + 1], self._tower_a[:depth]
 
-    def u_level(self, i: int):
-        u, _ = self.tower(i)
-        return u[i]
-
     def a_of_level(self, i: int):
         """A_i = A(u_{i-1}, grad u_{i-1}) without forcing tower level i."""
         if len(self._tower_a) >= i:
@@ -252,147 +240,6 @@ class MapEngine:
                             e += X[b] * Y[c] * Z[d] * riem[a][d][b][c]
             out.append(e)
         return out
-
-    def trace_R(self, X=None, Y=None, X_frame=None, Y_frame=None):
-        """g-traced curvature term Sum_j R(X, Y) dphi(e_j) where exactly one of
-        the slots carries the traced frame index (X_frame / Y_frame are
-        [comp][frame] tables) and the other is a plain section."""
-        out = [sp.S.Zero] * self.n
-        for i, j, gij in self.trace_pairs():
-            Xi = [X_frame[b][i] for b in range(self.n)] if X_frame is not None else X
-            Yi = [Y_frame[b][i] for b in range(self.n)] if Y_frame is not None else Y
-            Zj = [self.dphi[d][j] for d in range(self.n)]
-            term = self.curv_apply(Xi, Yi, Zj)
-            for a in range(self.n):
-                out[a] += gij * term[a]
-        return out
-
-    # -- higher tension fields: covariant assembly ---------------------------------
-
-    def tau_k(self, k: int):
-        """The order-k tension field assembled from the abstract recursion.
-
-        Even k = 2s:
-            lapbar^{2s-1} tau - R(lapbar^{2s-2} tau, dphi_j) dphi_j
-            - sum_{l=1}^{s-1} [ R(covd_j lapbar^{s+l-2} tau, lapbar^{s-l-1} tau) dphi_j
-                                - R(lapbar^{s+l-2} tau, covd_j lapbar^{s-l-1} tau) dphi_j ]
-        Odd k = 2s+1 adds one more Laplacian everywhere plus the final term
-            - R(covd_j lapbar^{s-1} tau, lapbar^{s-1} tau) dphi_j.
-        """
-        if k < 1:
-            raise ValueError("order must be >= 1")
-        if k == 1:
-            return self.tension
-        u, _ = self.tower(k - 1)
-        out = list(u[k - 1])
-        top_minus = self.trace_R(X=u[k - 2], Y_frame=self.dphi)
-        for a in range(self.n):
-            out[a] -= top_minus[a]
-        s = k // 2
-        if k % 2 == 0:
-            pairs = [(s + l - 2, s - l - 1) for l in range(1, s)]
-        else:
-            pairs = [(s + l - 1, s - l - 1) for l in range(1, s)]
-        for p, q in pairs:
-            cd_up = self.covd(u[p])
-            cd_uq = self.covd(u[q])
-            t1 = self.trace_R(Y=u[q], X_frame=cd_up)
-            t2 = self.trace_R(X=u[p], Y_frame=cd_uq)
-            for a in range(self.n):
-                out[a] += -t1[a] + t2[a]
-        if k % 2 == 1:
-            cd = self.covd(u[s - 1])
-            t = self.trace_R(Y=u[s - 1], X_frame=cd)
-            for a in range(self.n):
-                out[a] -= t[a]
-        return [self._norm(e) for e in out]
-
-    # -- literal coordinate right-hand sides ----------------------------------------
-
-    def _term_R_uv(self, u_sec, v_tab):
-        """u^d <v^g, dphi^b> R^a_{bgd}."""
-        out = []
-        for a in range(self.n):
-            e = sp.S.Zero
-            for i, j, gij in self.trace_pairs():
-                for b in range(self.n):
-                    for g_ in range(self.n):
-                        for d in range(self.n):
-                            if self.riemann_c[a][b][g_][d] != 0:
-                                e += gij * u_sec[d] * v_tab[g_][i] * self.dphi[b][j] * self.riemann_c[a][b][g_][d]
-            out.append(e)
-        return out
-
-    def _term_E(self, u_p, u_q):
-        """u_p^t u_q^d <dphi^h, dphi^b> E^a_{bdth}."""
-        out = []
-        for a in range(self.n):
-            e = sp.S.Zero
-            for i, j, gij in self.trace_pairs():
-                for b in range(self.n):
-                    for d in range(self.n):
-                        for t in range(self.n):
-                            for h in range(self.n):
-                                if self.e_tensor_c[a][b][d][t][h] != 0:
-                                    e += gij * u_p[t] * u_q[d] * self.dphi[h][i] * self.dphi[b][j] \
-                                        * self.e_tensor_c[a][b][d][t][h]
-            out.append(e)
-        return out
-
-    def _term_half_E(self, u_p, u_q):
-        """u_p^t u_q^d <dphi^h, dphi^b> R^a_{bgd} Gamma^g_{th}  (no (d,t) symmetrization)."""
-        out = []
-        for a in range(self.n):
-            e = sp.S.Zero
-            for i, j, gij in self.trace_pairs():
-                for b in range(self.n):
-                    for g_ in range(self.n):
-                        for d in range(self.n):
-                            if self.riemann_c[a][b][g_][d] == 0:
-                                continue
-                            for t in range(self.n):
-                                for h in range(self.n):
-                                    if self.gamma_c[g_][t][h] != 0:
-                                        e += gij * u_p[t] * u_q[d] * self.dphi[h][i] * self.dphi[b][j] \
-                                            * self.riemann_c[a][b][g_][d] * self.gamma_c[g_][t][h]
-            out.append(e)
-        return out
-
-    def fk_literal(self, k: int):
-        """Top reduced right-hand-side block in explicit coordinates:
-        F^k = -A_{k-1} + curvature groups written with the v-variables and the
-        E-tensor (even order) or their odd-order analogue."""
-        u, _ = self.tower(k - 2)
-        a_top = self.a_of_level(k - 1)
-        v = {i: self.grad(u[i]) for i in range(max(k - 2, 1))}
-        out = [-a_top[al] for al in range(self.n)]
-        top = self._term_R_uv(u[k - 2], self.dphi)
-        for al in range(self.n):
-            out[al] -= top[al]
-        s = k // 2
-        if k % 2 == 0:
-            for l in range(1, s):
-                p, q = s + l - 2, s - l - 1
-                for term in (self._term_R_uv(u[q], v[p]), self._term_E(u[p], u[q]), self._term_R_uv(u[p], v[q])):
-                    for al in range(self.n):
-                        out[al] += term[al]
-        else:
-            for l in range(1, s):
-                p, q = s + l - 1, s - l - 1
-                for term in (self._term_R_uv(u[q], v[p]), self._term_E(u[p], u[q]), self._term_R_uv(u[p], v[q])):
-                    for al in range(self.n):
-                        out[al] += term[al]
-            final1 = self._term_R_uv(u[s - 1], v[s - 1])
-            final2 = self._term_half_E(u[s - 1], u[s - 1])
-            for al in range(self.n):
-                out[al] += final1[al] + final2[al]
-        return [self._norm(e) for e in out]
-
-    def tau_k_literal(self, k: int):
-        """tau_k = lap u_{k-2} - F^k with the literal coordinate F^k."""
-        u, _ = self.tower(k - 2)
-        fk = self.fk_literal(k)
-        return [self._norm(self.lap(u[k - 2][al]) - fk[al]) for al in range(self.n)]
 
     # -- fourth-order curvature corrections (ES-4) -----------------------------------
 

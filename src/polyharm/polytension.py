@@ -2,11 +2,15 @@
 
 The tower realizes the recursion ``u_{i+1} = lap u_i + A_{i+1}`` with
 ``A_{i+1} = A(u_i, du_i)``; ``u_i`` holds the components of the i-th iterated
-section Laplacian of the tension field.  On top of the tower the order-k
-tension fields are assembled twice: once from the abstract recursion with
-covariant derivatives (``tau_even`` / ``tau_odd``) and once from the literal
-coordinate expansions with the v-variables and the E-tensor
-(``tau4_explicit`` and the reduced right-hand sides).  The two routes agree
+section Laplacian of the tension field.  Both evaluation modes build it with
+the same recursion and differ only in how they differentiate: closed-form
+levels in ``analytic_jet`` mode, stencils in ``grid_fd`` mode.  On top of
+the tower the order-k tension fields are assembled twice, by one numeric
+kernel each for both modes: once from the abstract recursion with covariant
+derivatives and curvature traces (``tau_k_from_tower``, behind ``tau_k``)
+and once from the literal coordinate expansion lap u_{k-2} - F^k with the
+v-variables and the E-tensor (``fk_literal_values``, behind
+``tau_k_literal`` and the reduced right-hand sides).  The two routes agree
 node-wise and serve as each other's oracle.
 
 Fourth-order curvature corrections: ``xi_1``, the codifferential expansion
@@ -56,6 +60,7 @@ __all__ = [
     "tau_even",
     "tau_odd",
     "tau_k",
+    "tau_k_literal",
     "tau4_explicit",
     "bitension_reference",
     "es4_terms",
@@ -93,11 +98,6 @@ class TensionTower:
 # ---------------------------------------------------------------------------
 # numeric curvature contractions (shared with the equivariant point evaluator)
 # ---------------------------------------------------------------------------
-
-
-def trace_R_sec_dphi(ginv, riem, d1, sec) -> np.ndarray:
-    """Sum_j R(sec, dphi_j) dphi_j, both frame slots g-traced."""
-    return np.einsum("adbc...,b...,cd...->a...", riem, sec, frame_trace(ginv, d1, d1))
 
 
 def trace_R_frame_sec(ginv, riem, d1, x_frame, y_sec) -> np.ndarray:
@@ -138,9 +138,10 @@ def top_a_term(gmap: GridMap, tower: TensionTower) -> BundleSection:
     """A_k = A(u_{k-1}, du_{k-1}) above the top level of an order-k tower.
 
     analytic_jet mode evaluates the engine's closed form A_k, the one inside
-    the symbolic tau_{k+1}.  The reduced system pairs the two in its top row
-    (lap u_{k-1} = F^{k+1} + tau_{k+1}), and ``geometry.lambdify_tensor``
-    misevaluates deep closed forms (README "Known defect"): on the circle map of
+    the evaluated level u_k that tau_{k+1} reads.  The reduced system pairs
+    the two in its top row (lap u_{k-1} = F^{k+1} + tau_{k+1}), and
+    ``geometry.lambdify_tensor`` misevaluates deep closed forms (README
+    "Known defect"): on the circle map of
     ``test_residual_decays_at_stencil_order[4]`` the closed-form A_3 is off by
     up to 1.1e-2 where the A-term kernel is exact to 2e-15, so a kernel A_k
     would break the identity by the evaluator's error.  grid_fd mode applies
@@ -215,21 +216,9 @@ def _richardson_estimate(gmap: GridMap, k: int, top_fine: np.ndarray) -> float |
     return float(np.max(np.abs(top_fine[slicer] - top_c)) / (2 ** gmap.fd_order - 1))
 
 
-def tau_k(gmap: GridMap, k: int, tower: TensionTower | None = None) -> BundleSection:
-    """Order-k tension field from the abstract recursion; k >= 1."""
-    if k == 1:
-        return tension(gmap)
-    if gmap.eval_mode == "analytic_jet":
-        eng = gmap.engine
-        exprs = eng.tau_k(k)
-        return BundleSection(gmap, gmap.eval_exprs(exprs), exprs=exprs)
-    tower = tower if tower is not None else build_tower(gmap, k)
-    return _tau_k_fd(gmap, k, tower)
-
-
 def tau_k_from_tower(k: int, ginv, d1, riem, gam, u: list, v: list) -> np.ndarray:
     """Assemble tau_k from tower value arrays (any trailing node shape)."""
-    out = u[k - 1] - trace_R_sec_dphi(ginv, riem, d1, u[k - 2])
+    out = u[k - 1] - trace_R_sec_frame(ginv, riem, d1, u[k - 2], d1)
     s = k // 2
     pairs = [(s + l - 2, s - l - 1) for l in range(1, s)] if k % 2 == 0 else \
         [(s + l - 1, s - l - 1) for l in range(1, s)]
@@ -244,7 +233,11 @@ def tau_k_from_tower(k: int, ginv, d1, riem, gam, u: list, v: list) -> np.ndarra
     return out
 
 
-def _tau_k_fd(gmap: GridMap, k: int, tower: TensionTower) -> BundleSection:
+def tau_k(gmap: GridMap, k: int) -> BundleSection:
+    """Order-k tension field from the abstract recursion; k >= 1."""
+    if k == 1:
+        return tension(gmap)
+    tower = build_tower(gmap, k)
     vals = tau_k_from_tower(
         k,
         gmap.plan.ginv,
@@ -257,38 +250,42 @@ def _tau_k_fd(gmap: GridMap, k: int, tower: TensionTower) -> BundleSection:
     return BundleSection(gmap, vals)
 
 
-def tau_even(gmap: GridMap, s: int, tower: TensionTower | None = None) -> BundleSection:
+def tau_k_literal(gmap: GridMap, k: int) -> BundleSection:
+    """tau_k through the literal coordinate expansion lap u_{k-2} - F^k
+    (v-variables and the E-tensor); agrees with ``tau_k`` node-wise.
+
+    lap u_{k-2} is read off the tower as u_{k-1} - A_{k-1}, so both routes
+    share one tower and differ in the assembly on top of it."""
+    tower = build_tower(gmap, k)
+    a_top = tower.a[k - 2].values
+    fk = fk_literal_values(gmap, k, [sec.values for sec in tower.u], [vg.values for vg in tower.v], a_top)
+    return BundleSection(gmap, (tower.u[k - 1].values - a_top) - fk)
+
+
+def tau_even(gmap: GridMap, s: int) -> BundleSection:
     """tau_{2s}; s = 1 is the classical bitension field."""
     if s < 1:
         raise ConfigurationError("tau_even needs s >= 1")
-    return tau_k(gmap, 2 * s, tower)
+    return tau_k(gmap, 2 * s)
 
 
-def tau_odd(gmap: GridMap, s: int, tower: TensionTower | None = None) -> BundleSection:
+def tau_odd(gmap: GridMap, s: int) -> BundleSection:
     """tau_{2s+1}; s = 1 is the third-order tension field."""
     if s < 1:
         raise ConfigurationError("tau_odd needs s >= 1")
-    return tau_k(gmap, 2 * s + 1, tower)
+    return tau_k(gmap, 2 * s + 1)
 
 
-def tau4_explicit(gmap: GridMap, tower: TensionTower | None = None) -> BundleSection:
-    """tau_4 through the literal coordinate expansion lap u_2 - F^4
-    (v-variables and the E-tensor); agrees with tau_even(., 2) node-wise."""
-    if gmap.eval_mode == "analytic_jet":
-        exprs = gmap.engine.tau_k_literal(4)
-        return BundleSection(gmap, gmap.eval_exprs(exprs), exprs=exprs)
-    check_tower_resolution(gmap, 4)
-    tower = tower if tower is not None else build_tower(gmap, 3)
-    a_top = a_term(tower.u[2], gmap)
-    fk = fk_literal_values(gmap, 4, [s.values for s in tower.u],
-                           [vg.values for vg in tower.v], a_top.values)
-    return BundleSection(gmap, grid_laplacians(gmap, tower.u[2].values) - fk)
+def tau4_explicit(gmap: GridMap) -> BundleSection:
+    """tau_4 through the literal route, ``tau_k_literal(gmap, 4)``."""
+    return tau_k_literal(gmap, 4)
 
 
 def fk_literal_values(gmap: GridMap, k: int, u: list[np.ndarray], v: list[np.ndarray],
                       a_top: np.ndarray) -> np.ndarray:
     """Numeric top block F^k in the literal coordinate form; ``u`` holds
-    levels 0..k-2, ``v`` their partials, ``a_top`` the A-term of order k-1."""
+    levels 0..k-2 (higher ones are not read), ``v`` their partials, ``a_top``
+    the A-term of order k-1."""
     ginv = gmap.plan.ginv
     d1 = dphi_values(gmap)
     riem = gmap.tgt.riemann(*gmap.values)

@@ -1,6 +1,7 @@
 """Configuration schema, static validation, command dispatch, exit codes and
 artifact determinism."""
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def test_config_rejects_bad_schema():
 def test_validate_well_formed_is_empty():
     cfg = _cfg(command="tension", **CIRCLE_SPHERE)
     assert cf.validate(cfg) == []
+
+
+def test_shipped_configs_load_and_validate():
+    # every configuration under configs/ parses and passes static validation,
+    # so the console script can run each one as its "command" says
+    paths = sorted(pathlib.Path(__file__).resolve().parents[1].glob("configs/*.json"))
+    assert paths
+    for path in paths:
+        assert cf.validate(cf.ExperimentConfig.load(str(path))) == [], path.name
 
 
 def test_validate_capability_diagnostic():
@@ -145,12 +155,12 @@ def test_run_flow():
 
 
 def test_artifact_determinism(tmp_path):
-    cfg = _cfg(command="aronszajn", order=3, seed=7, **CIRCLE_SPHERE)
+    cfg = _cfg(command="aronszajn", order=3, **CIRCLE_SPHERE)
     a = cli.run(cfg).render()
     b = cli.run(cfg).render()
     assert a == b
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps({"command": "aronszajn", "order": 3, "seed": 7, **CIRCLE_SPHERE}))
+    cfgf.write_text(json.dumps({"command": "aronszajn", "order": 3, **CIRCLE_SPHERE}))
     out1, out2 = tmp_path / "a1.txt", tmp_path / "a2.txt"
     assert cli.main(["aronszajn", "--config", str(cfgf), "--out", str(out1)]) == 0
     assert cli.main(["aronszajn", "--config", str(cfgf), "--out", str(out2)]) == 0
@@ -277,24 +287,23 @@ def test_nonfinite_artifact_exits_5_without_writing(tmp_path):
     assert not out.exists()
 
 
-def test_tolerances_rejected_unless_empty(tmp_path):
-    cfg = _cfg(command="tension", tolerances={"es4_gap": 1e-6}, **CIRCLE_SPHERE)
-    assert any("tolerances" in d for d in cf.validate(cfg))
-    with pytest.raises(ConfigurationError, match="tolerances"):
-        cli.run(cfg)
+def test_removed_config_keys_are_unknown(tmp_path):
+    # no code reads these keys, so a config that carries one, even at its
+    # old default, is rejected as carrying an unknown key (exit code 2)
+    echo = cli.run(_cfg(command="tension", **CIRCLE_SPHERE)).render()
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps({"command": "tension", "tolerances": {"es4_gap": 1e-6}, **CIRCLE_SPHERE}))
-    assert cli.main(["tension", "--config", str(cfgf)]) == 2
-    # the key stays accepted and echoed when empty
-    empty = _cfg(command="tension", tolerances={}, **CIRCLE_SPHERE)
-    assert cf.validate(empty) == []
-    assert '"tolerances":{}' in cli.run(empty).render()
+    for key, value in [("tolerances", {}), ("tolerances", {"es4_gap": 1e-6}), ("seed", 0), ("workers", 1)]:
+        with pytest.raises(ConfigurationError, match="unknown config keys"):
+            _cfg(command="tension", **{key: value}, **CIRCLE_SPHERE)
+        cfgf.write_text(json.dumps({"command": "tension", key: value, **CIRCLE_SPHERE}))
+        assert cli.main(["tension", "--config", str(cfgf)]) == 2, key
+        assert f'"{key}"' not in echo
 
 
 def test_run_leaves_numpy_global_generator_alone():
     np.random.seed(11)
     before = np.random.get_state()[1].copy()
-    cli.run(_cfg(command="tension", seed=7, **CIRCLE_SPHERE))
+    cli.run(_cfg(command="tension", **CIRCLE_SPHERE))
     assert np.array_equal(np.random.get_state()[1], before)
 
 

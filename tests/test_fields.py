@@ -304,8 +304,9 @@ PAIRWISE_KERNELS = {
         lambda g, gam, d1: np.einsum("ij...,atb...,ti...,bj...->a...", g, gam, d1, d1),
         ("g", "nnn", "nm")),
     "a_term_values": (fl.a_term_values, _literal_a_term, ("n", "nm", "g", "nm", "n", "nnn", "nnnn")),
-    "trace_R_sec_dphi": (
-        pt.trace_R_sec_dphi,
+    # tau_k's top curvature term Sum_j R(sec, dphi_j) dphi_j
+    "trace_R_sec_frame(dphi)": (
+        lambda g, r, d1, sec: pt.trace_R_sec_frame(g, r, d1, sec, d1),
         lambda g, r, d1, sec: np.einsum("ij...,adbc...,b...,ci...,dj...->a...", g, r, sec, d1, d1),
         ("g", "nnnn", "nm", "n")),
     "trace_R_frame_sec": (

@@ -174,7 +174,7 @@ def test_bitension_specialization(map_flat_flat, map_flat_sphere, map_circle_sph
 def test_tau3_matches_literal_route(map_circle_sphere):
     gm = map_circle_sphere
     generic = pt.tau_odd(gm, 1)
-    literal = fl.BundleSection(gm, gm.eval_exprs(gm.engine.tau_k_literal(3)))
+    literal = pt.tau_k_literal(gm, 3)
     assert np.max(np.abs(generic.values - literal.values)) <= 1e-9
 
 
@@ -193,11 +193,10 @@ def test_tau_k_fd_converges_to_analytic(dom_t1, tgt_s2, k, min_order):
     x = dom_t1.coords[0]
     exprs = (x, sp.pi / 2 + sp.sin(x) * sp.Rational(1, 4))
     reference = fl.GridMap.from_exprs(dom_t1, tgt_s2, (64,), exprs)
-    tau_exprs = reference.engine.tau_k(k)
     sups = []
     for n in (48, 96):
         fd = fl.GridMap.from_exprs(dom_t1, tgt_s2, (n,), exprs, eval_mode="grid_fd")
-        exact = reference.engine.eval_on(tau_exprs, fd.mesh)
+        exact = pt.tau_k(reference.resample((n,)), k).values
         sups.append(np.max(np.abs(pt.tau_k(fd, k).values - exact)))
     assert min(observed_order(sups)) >= min_order
 
@@ -208,6 +207,24 @@ def test_tau4_explicit_fd_route(dom_t1, tgt_s2):
     fd = fl.GridMap.from_exprs(dom_t1, tgt_s2, (256,), exprs, eval_mode="grid_fd")
     gap = np.max(np.abs(pt.tau_k(fd, 4).values - pt.tau4_explicit(fd).values))
     assert gap <= 1e-9 * max(1.0, pt.tau_k(fd, 4).max_norm())
+
+
+def test_covariant_and_literal_routes_agree_across_orders(map_latitude, dom_t1, dom_t2, tgt_s2):
+    # both assemblies read one tower; k = 5 reaches the odd-order pair
+    # branch of the literal F^k
+    x1, x2 = dom_t2.coords
+    x = dom_t1.coords[0]
+    maps = {
+        "latitude": map_latitude,
+        "torus_sphere": fl.GridMap.from_exprs(dom_t2, tgt_s2, (8, 8), (x1, sp.pi / 2 + sp.sin(x2) / 5)),
+        "circle_sphere_fd": fl.GridMap.from_exprs(dom_t1, tgt_s2, (128,), (x, sp.pi / 2 + sp.sin(x) / 4),
+                                                  eval_mode="grid_fd"),
+    }
+    for name, gm in maps.items():
+        for k in (2, 3, 4, 5):
+            covariant = pt.tau_k(gm, k)
+            gap = np.max(np.abs(covariant.values - pt.tau_k_literal(gm, k).values))
+            assert gap <= 1e-9 * max(1.0, covariant.max_norm()), (name, k, gap)
 
 
 def test_harmonic_kill_switch(harmonic_maps):
@@ -386,7 +403,7 @@ def test_tower_level_u3_evaluates_to_exact_values():
     x1 = dom.coords[0]
     gm = fl.GridMap.from_exprs(dom, tgt, (64,), (x1, sp.pi / 2 + 2 * sp.sin(x1) / 5),
                                eval_mode="analytic_jet")
-    u3 = gm.engine.u_level(3)
+    u3 = gm.engine.tower(3)[0][3]
     got = gm.eval_exprs(u3)
     for node in (3, 40):
         x = float(gm.mesh[0][node])

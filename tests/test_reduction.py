@@ -5,6 +5,7 @@ import sympy as sp
 
 from polyharm import fields as fl
 from polyharm import geometry as geo
+from polyharm import polytension as pt
 from polyharm import reduction as red
 from polyharm.errors import ConfigurationError, DegenerateInputError
 
@@ -53,10 +54,12 @@ def test_flat_target_rhs_structure(dom_t1, tgt_e1):
 
 
 def test_latitude_top_block_matches_jet_oracle(map_latitude):
-    # F^3 assembled numerically from tower arrays against the symbolic route
+    # the literal F^3 of the reduced system against the covariant route
+    # F^3 = lap u_1 - tau_3 = (u_2 - A_2) - tau_3
     gm = map_latitude
     rhs = red.build_rhs(gm, 3, "plain", with_source=False)
-    oracle = gm.eval_exprs(gm.engine.fk_literal(3))
+    tower = pt.build_tower(gm, 3)
+    oracle = (tower.u[2].values - tower.a[1].values) - pt.tau_k(gm, 3).values
     assert np.max(np.abs(rhs.blocks[-1] - oracle)) <= 1e-8
 
 
