@@ -47,6 +47,7 @@ class MapEngine:
         self._lam_cache: dict = {}
         self._use_cancel: bool | None = None
         self._tower_u: list[list[sp.Expr]] = []
+        self._tower_v: list[list[list[sp.Expr]]] = []
         self._tower_a: list[list[sp.Expr]] = []
         self._a_extra: dict[int, list[sp.Expr]] = {}
 
@@ -205,23 +206,26 @@ class MapEngine:
         return out
 
     def tower(self, depth: int):
-        """u_0 .. u_depth with u_{i+1} = lap(u_i) + A(u_i, grad u_i); returns (u, A)."""
+        """u_0 .. u_depth with u_{i+1} = lap(u_i) + A(u_i, v_i), v_i = grad u_i;
+        returns (u, v, A) with v and A of length depth."""
         if not self._tower_u:
             self._tower_u.append(self.tension)
         while len(self._tower_u) <= depth:
             prev = self._tower_u[-1]
-            a_next = self.a_term(prev, self.grad(prev))
+            v_prev = self.grad(prev)
+            a_next = self.a_term(prev, v_prev)
             nxt = [self._norm(self.lap(prev[al]) + a_next[al]) for al in range(self.n)]
+            self._tower_v.append(v_prev)
             self._tower_a.append(a_next)
             self._tower_u.append(nxt)
-        return self._tower_u[: depth + 1], self._tower_a[:depth]
+        return self._tower_u[: depth + 1], self._tower_v[:depth], self._tower_a[:depth]
 
     def a_of_level(self, i: int):
         """A_i = A(u_{i-1}, grad u_{i-1}) without forcing tower level i."""
         if len(self._tower_a) >= i:
             return self._tower_a[i - 1]
         if i not in self._a_extra:
-            u, _ = self.tower(i - 1)
+            u = self.tower(i - 1)[0]
             self._a_extra[i] = self.a_term(u[i - 1], self.grad(u[i - 1]))
         return self._a_extra[i]
 

@@ -77,9 +77,9 @@ def lambdify_tensor(coords: Sequence[sp.Symbol], tensor) -> Callable:
     callable; the one evaluator of model tensors, map components and engine
     expressions.
 
-    The callable takes ``len(coords)`` broadcastable arrays and returns an
-    ndarray shaped like the nesting followed by the node shape (an empty
-    nesting gives an empty array).
+    The callable takes ``len(coords)`` broadcastable arrays and returns a
+    fresh float array shaped like the nesting followed by the node shape
+    (an empty nesting gives an empty array).
     """
     flat: list[sp.Expr] = []
     _flatten(tensor, flat)
@@ -91,9 +91,10 @@ def lambdify_tensor(coords: Sequence[sp.Symbol], tensor) -> Callable:
         node_shape = np.broadcast_shapes(*(p.shape for p in pts)) if pts else ()
         with np.errstate(all="ignore"):
             vals = fn(*pts)
-        arrs = [np.broadcast_to(np.asarray(v, dtype=float), node_shape) for v in vals]
-        stacked = np.stack(arrs) if arrs else np.zeros((0,) + node_shape)
-        return stacked.reshape(shape + node_shape) if shape else stacked[0]
+        out = np.empty((len(flat),) + node_shape)
+        for i, v in enumerate(vals):
+            out[i] = v
+        return out.reshape(shape + node_shape) if shape else out[0]
 
     return call
 
@@ -172,8 +173,7 @@ class _SymbolicChart:
         mat = sp.Matrix(self.metric_exprs)
         inv = mat.inv()
         d = self.dim
-        return [[sp.cancel(inv[i, j]) if inv[i, j].is_rational_function(*self.coords) else sp.simplify(inv[i, j])
-                 for j in range(d)] for i in range(d)]
+        return [[sp.cancel(inv[i, j]) for j in range(d)] for i in range(d)]
 
     @functools.cached_property
     def christoffel_exprs(self):
@@ -198,7 +198,7 @@ class _SymbolicChart:
         for i in range(d):
             for j in range(d):
                 e = sp.Add(*[riem[k][j][k][i] for k in range(d)])
-                out[i][j] = sp.cancel(e) if e.is_rational_function(*self.coords) else sp.simplify(e)
+                out[i][j] = sp.cancel(e)
         return out
 
     @functools.cached_property

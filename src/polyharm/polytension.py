@@ -172,10 +172,8 @@ def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower
         raise ConfigurationError("tower order must be >= 2")
     check_tower_resolution(gmap, k)
     if gmap.eval_mode == "analytic_jet":
-        eng = gmap.engine
-        u_exprs, a_exprs = eng.tower(k - 1)
+        u_exprs, v_exprs, a_exprs = gmap.engine.tower(k - 1)
         u = [BundleSection(gmap, gmap.eval_exprs(e), exprs=e) for e in u_exprs]
-        v_exprs = [eng.grad(u_exprs[i]) for i in range(k - 1)]
         v = [VGrid(gmap, gmap.eval_exprs(e), exprs=e) for e in v_exprs]
         a = [BundleSection(gmap, gmap.eval_exprs(e), exprs=e) for e in a_exprs]
         return TensionTower(k, u, v, a)

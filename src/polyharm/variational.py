@@ -21,6 +21,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import sympy as sp
 
 from .errors import (
     CapabilityError,
@@ -178,8 +179,6 @@ def first_variation_check(gmap: GridMap, variation_exprs, order, t: float = 1e-5
     along phi + tV and VARIATIONAL_SIGN * int <tau_k, V> dV."""
     if gmap.eval_mode != "analytic_jet":
         raise CapabilityError("first_variation_check needs analytic_jet mode")
-    import sympy as sp
-
     fd, pairing = _variation_sides(gmap, [sp.sympify(e) for e in variation_exprs], order, t)
     rhs = VARIATIONAL_SIGN * pairing
     scale = max(abs(fd), abs(rhs))
@@ -192,8 +191,6 @@ def first_variation_check(gmap: GridMap, variation_exprs, order, t: float = 1e-5
 def calibrate_variational_sign() -> float:
     """Recover the global sign on the Dirichlet case (flat torus to flat
     plane) and confirm it matches VARIATIONAL_SIGN."""
-    import sympy as sp
-
     from .geometry import euclidean, flat_torus
 
     dom = flat_torus(1)
@@ -218,7 +215,7 @@ def _latitude_context(m: int):
     model, the evaluation point, and the unit equator-factor tensors there
     (the domain Christoffels are scale-invariant)."""
     tgt = round_sphere_polar(m + 1)
-    unit_dom = sphere_cap_domain(m, np.pi / 2)
+    unit_dom = sphere_cap_domain(m, sp.pi / 2)
     point = (0.3,) if m == 1 else tuple(0.2 + 0.1 * i for i in range(m))
     return tgt, point, unit_dom.metric_inv(*point), unit_dom.christoffel(*point)
 

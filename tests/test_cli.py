@@ -1,7 +1,10 @@
 """Configuration schema, static validation, command dispatch, exit codes and
 artifact determinism."""
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +106,20 @@ def test_run_latitude_search():
     art = cli.run(cfg)
     assert art.summary["roots_found"] == 1
     assert abs(art.summary["alpha_first"] - 0.785398163) <= 1e-9
+
+
+def test_latitude_search_leaves_sympy_physics_unimported():
+    # sympy.simplify imports sympy.physics.units on its first call; no model
+    # build may pay for that
+    script = ("import sys; from polyharm import cli, config; "
+              "cli.run(config.ExperimentConfig.from_dict({'command': 'latitude-search', "
+              "'latitude': {'m': 2, 'order': 3}})); "
+              "print(sorted(k for k in sys.modules if k.startswith('sympy.physics')))")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_energy_and_tau(tmp_path):

@@ -262,3 +262,81 @@ def test_cap_domain_ricci_is_einstein():
     ric = dom.ricci(*pts)
     g = dom.metric(*pts)
     assert np.max(np.abs(ric - g)) <= 1e-10
+
+
+# -- the evaluator contract and cold model builds --------------------------------
+
+
+def _stacked_broadcasts(coords, tensor):
+    """The evaluator as a stack of per-component broadcasts (reference)."""
+    flat = []
+    geo._flatten(tensor, flat)
+    shape = geo._nesting_shape(tensor)
+    fn = sp.lambdify(list(coords), flat, modules="numpy", cse=True)
+
+    def call(*points):
+        pts = [np.asarray(p, dtype=float) for p in points]
+        node_shape = np.broadcast_shapes(*(p.shape for p in pts))
+        with np.errstate(all="ignore"):
+            vals = fn(*pts)
+        stacked = np.stack([np.broadcast_to(np.asarray(v, dtype=float), node_shape) for v in vals])
+        return stacked.reshape(shape + node_shape)
+
+    return call
+
+
+def test_lambdify_tensor_shapes_and_broadcasts():
+    x, y = sp.symbols("x y", real=True)
+    xs, ys = np.linspace(0.1, 1.0, 4)[:, None], np.linspace(-1.0, 1.0, 3)[None, :]
+    got = geo.lambdify_tensor((x, y), [[sp.S.Zero, sp.Rational(3, 2)], [x * y, sp.S.One]])(xs, ys)
+    assert got.shape == (2, 2, 4, 3) and got.dtype == np.float64
+    assert np.all(got[0, 0] == 0.0) and np.all(got[0, 1] == 1.5) and np.all(got[1, 1] == 1.0)
+    assert np.array_equal(got[1, 0], xs * ys)
+    assert geo.lambdify_tensor((x, y), [])(xs, ys).shape == (0, 4, 3)
+    scalar = geo.lambdify_tensor((x, y), x + 2 * y)(xs, ys)
+    assert scalar.shape == (4, 3) and np.array_equal(scalar, xs + 2 * ys)
+    assert geo.lambdify_tensor((x, y), [sp.S(7)])(0.5, 0.5).shape == (1,)
+
+
+def test_lambdify_tensor_returns_fresh_writable_arrays():
+    x = sp.Symbol("x", real=True)
+    fn = geo.lambdify_tensor((x,), [sp.S.One, x])
+    pts = np.linspace(0.0, 1.0, 5)
+    first = fn(pts)
+    assert first.flags.writeable and first.flags.c_contiguous
+    assert not np.shares_memory(first[1], pts)
+    first[:] = -1.0
+    assert np.array_equal(fn(pts), [np.ones(5), pts])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lambdify_tensor_matches_stacked_broadcasts(dim):
+    model = geo.round_sphere_polar(dim)
+    pts = _random_sphere_points(40, dim).reshape((dim, 5, 8))
+    for exprs in (model.christoffel_exprs, model.s_tensor_exprs, model.riemann_exprs):
+        got = geo.lambdify_tensor(model.coords, exprs)(*pts)
+        assert np.array_equal(got, _stacked_broadcasts(model.coords, exprs)(*pts))
+
+
+def test_model_builds_never_call_simplify(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.simplify called")
+
+    monkeypatch.setattr(sp, "simplify", refuse)
+    monkeypatch.setattr(sp.Expr, "simplify", refuse)
+    y1, y2 = sp.symbols("y1:3", real=True)
+    targets = [geo.round_sphere_polar(d) for d in (2, 3, 4)]
+    targets += [geo.space_form(3, 1.0), geo.space_form(3, -1.0),
+                geo.target_from_metric([[sp.sin(y2) ** 2, 0], [0, 1]], (y1, y2))]
+    for tgt in targets:
+        for name in ("christoffel_exprs", "s_tensor_exprs", "riemann_exprs", "nabla_riemann_exprs"):
+            getattr(tgt, name)
+        tgt._sym.ricci_exprs
+    for m in (1, 2, 3):
+        dom = geo.sphere_cap_domain(m, sp.pi / 2)
+        dom.christoffel_exprs, dom.ricci_exprs, dom._sym.metric_inv_jet_exprs
+    for d, tgt in zip((2, 3, 4), targets):
+        *w, s = tgt.coords
+        diag = sp.sin(s) ** -2 if d == 2 else sp.expand((1 + sp.Add(*[c ** 2 for c in w])) ** 2) / (4 * sp.sin(s) ** 2)
+        expected = [[diag if i == j < d - 1 else sp.S(int(i == j)) for j in range(d)] for i in range(d)]
+        assert sp.srepr(tgt._sym.metric_inv_exprs) == sp.srepr(expected)

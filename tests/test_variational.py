@@ -328,3 +328,11 @@ def test_flow_dt_underflow(dom_t1, tgt_s2):
                                (x, sp.pi / 2 + sp.sin(x) / 100), eval_mode="grid_fd")
     with pytest.raises(ConfigurationError, match="underflow"):
         va.gradient_flow(gm, 2, dt=1e3, steps=3, max_halvings=2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_latitude_context_exact_angle_matches_float_chart(m):
+    _, point, gt_inv, gam_dom = va._latitude_context(m)
+    float_chart = geo.sphere_cap_domain(m, np.pi / 2)
+    assert np.array_equal(gt_inv, float_chart.metric_inv(*point))
+    assert np.array_equal(gam_dom, float_chart.christoffel(*point))
