@@ -1,17 +1,21 @@
 """Exact symbolic leaves for closed-form maps (the ``analytic_jet`` mode).
 
-The engine keeps sympy expressions in the domain coordinates only for what
-is differentiated again: the differential, lap phi and the second
-fundamental form, the tension tower with its A-terms and partials,
-Omega_0, Omega_1 and the tensorial Leibniz expansion of covd Omega_0.
-Everything assembled on top of these leaves without differentiating it again
-(both routes to tau_k, covariant derivatives, section Laplacians,
-codifferentials, hence both lapbar Omega_0 paths and d* Omega_1, the
-Weitzenboeck defect, xi_1 and hat tau_4, the reduced-system blocks) comes
-from evaluated leaves through the numeric kernels in ``fields`` and
-``polytension``, the same kernels the ``grid_fd`` mode runs.  Derivatives
-are symbolic, hence exact; grids only enter at evaluation time through
-cached ``geometry.lambdify_tensor`` callables.
+The engine keeps sympy expressions in the domain coordinates for the leaves
+of one map and for its tension tower: the target-model tensors composed
+with the map, the differential and its second partials, lap phi, the
+tension field and the tower levels with their A-terms and partials.  The
+other closed forms that are differentiated again (the second fundamental
+form, whose partials the Weitzenboeck defect reads, and Omega_0 with the
+Leibniz expansion of covd Omega_0, which the two lapbar Omega_0 paths
+differentiate) are built by the node-wise kernels of ``fields`` and
+``polytension`` applied to these leaves as sympy object arrays.
+Everything assembled without differentiating it again (both routes to
+tau_k, covariant derivatives, section Laplacians, codifferentials, Omega_1,
+xi_1 and hat tau_4, the Weitzenboeck defect, the reduced-system blocks)
+comes from evaluated leaves through the same kernels, the ones the
+``grid_fd`` mode runs.  Derivatives are symbolic,
+hence exact; grids only enter at evaluation time through cached
+``geometry.lambdify_tensor`` callables.
 
 Target-model tensors are computed once per model in target coordinates and
 composed with the map expression here.  On purely rational data (e.g. the
@@ -26,7 +30,7 @@ import functools
 import sympy as sp
 
 from .errors import CapabilityError
-from .geometry import DomainModel, TargetModel, _flatten, _nesting_shape, _sym_zeros, lambdify_tensor
+from .geometry import DomainModel, TargetModel, _flatten, _nesting_shape, lambdify_tensor
 
 __all__ = ["MapEngine"]
 
@@ -133,26 +137,6 @@ class MapEngine:
         return out
 
     @functools.cached_property
-    def second_ff(self):
-        """nabla dphi^a_{ij} = d2 phi - Gam_dom^k_{ij} dphi^a_k + Gamma^a_{bc} dphi^b_i dphi^c_j."""
-        out = _sym_zeros((self.n, self.m, self.m))
-        for a in range(self.n):
-            for i in range(self.m):
-                for j in range(i, self.m):
-                    e = self.d2phi[a][i][j]
-                    for k in range(self.m):
-                        if self.gam_dom[k][i][j] != 0:
-                            e -= self.gam_dom[k][i][j] * self.dphi[a][k]
-                    for b in range(self.n):
-                        for c in range(self.n):
-                            if self.gamma_c[a][b][c] != 0:
-                                e += self.gamma_c[a][b][c] * self.dphi[b][i] * self.dphi[c][j]
-                    e = self._norm(e)
-                    out[a][i][j] = e
-                    out[a][j][i] = e
-        return out
-
-    @functools.cached_property
     def tension(self):
         """tau^a = -lap phi^a + g^{ij} Gamma^a_{tb} dphi^t_i dphi^b_j."""
         out = []
@@ -169,17 +153,6 @@ class MapEngine:
     def grad(self, sec):
         """Plain coordinate partials of an n-vector of expressions: [a][i]."""
         return [[sp.diff(sec[a], x) for x in self.xs] for a in range(self.n)]
-
-    def covd(self, sec):
-        """Pullback covariant derivative (covd_i sec)^a = d_i sec^a + Gamma^a_{bg} dphi^b_i sec^g."""
-        out = self.grad(sec)
-        for a in range(self.n):
-            for i in range(self.m):
-                for b in range(self.n):
-                    for gm in range(self.n):
-                        if self.gamma_c[a][b][gm] != 0:
-                            out[a][i] += self.gamma_c[a][b][gm] * self.dphi[b][i] * sec[gm]
-        return out
 
     # -- the A functional and the tower -----------------------------------------
 
@@ -228,119 +201,6 @@ class MapEngine:
             u = self.tower(i - 1)[0]
             self._a_extra[i] = self.a_term(u[i - 1], self.grad(u[i - 1]))
         return self._a_extra[i]
-
-    # -- curvature contractions ---------------------------------------------------
-
-    def curv_apply(self, X, Y, Z, riem=None):
-        """[R(X, Y) Z]^a = X^b Y^c Z^d R^a_{dbc} for plain n-vectors."""
-        riem = riem if riem is not None else self.riemann_c
-        out = []
-        for a in range(self.n):
-            e = sp.S.Zero
-            for b in range(self.n):
-                for c in range(self.n):
-                    for d in range(self.n):
-                        if riem[a][d][b][c] != 0:
-                            e += X[b] * Y[c] * Z[d] * riem[a][d][b][c]
-            out.append(e)
-        return out
-
-    # -- fourth-order curvature corrections (ES-4) -----------------------------------
-
-    def _require_es4(self):
-        self.tgt.require_jets(2, "fourth-order curvature correction")
-        _ = self.tgt.nabla_riemann_exprs
-
-    @functools.cached_property
-    def curv_2form(self):
-        """T_{ij} = R(dphi_i, dphi_j) tau: components [i][j][a]."""
-        u0 = self.tension
-        out = _sym_zeros((self.m, self.m, self.n))
-        for i in range(self.m):
-            for j in range(self.m):
-                Xi = [self.dphi[b][i] for b in range(self.n)]
-                Yj = [self.dphi[c][j] for c in range(self.n)]
-                out[i][j] = self.curv_apply(Xi, Yj, u0)
-        return out
-
-    @functools.cached_property
-    def omega0(self):
-        """Omega_0 = R(dphi_i, dphi_j)(R(dphi_i, dphi_j) tau), frames g-traced."""
-        T = self.curv_2form
-        out = [sp.S.Zero] * self.n
-        for i, ip, gii in self.trace_pairs():
-            for j, jp, gjj in self.trace_pairs():
-                Xi = [self.dphi[b][i] for b in range(self.n)]
-                Yj = [self.dphi[c][j] for c in range(self.n)]
-                term = self.curv_apply(Xi, Yj, T[ip][jp])
-                for a in range(self.n):
-                    out[a] += gii * gjj * term[a]
-        return [self._norm(e) for e in out]
-
-    @functools.cached_property
-    def omega1(self):
-        """Omega_1(d/dx^i) = R(R(dphi_i, dphi_j) tau, tau) dphi_j: [i][a]."""
-        T = self.curv_2form
-        u0 = self.tension
-        out = _sym_zeros((self.m, self.n))
-        for i in range(self.m):
-            acc = [sp.S.Zero] * self.n
-            for j, jp, gjj in self.trace_pairs():
-                term = self.curv_apply(T[i][j], u0, [self.dphi[d][jp] for d in range(self.n)])
-                for a in range(self.n):
-                    acc[a] += gjj * term[a]
-            out[i] = acc
-        return out
-
-    def nabla_r_apply(self, W, X, Y, Z):
-        """[(nabla_W R)(X, Y) Z]^a = W^e X^b Y^c Z^d R^a_{dbc;e}."""
-        nr = self.nabla_riemann_c
-        out = []
-        for a in range(self.n):
-            e = sp.S.Zero
-            for b in range(self.n):
-                for c in range(self.n):
-                    for d in range(self.n):
-                        for ee in range(self.n):
-                            if nr[a][d][b][c][ee] != 0:
-                                e += W[ee] * X[b] * Y[c] * Z[d] * nr[a][d][b][c][ee]
-            out.append(e)
-        return out
-
-    @functools.cached_property
-    def nabla_omega0_tensorial(self):
-        """(covd_l Omega_0) through the Leibniz expansion of the double
-        curvature composite; [l][a].  Uses nabla R, the second fundamental
-        form and covd tau instead of differentiating Omega_0's components."""
-        self._require_es4()
-        u0 = self.tension
-        cd_u0 = self.covd(u0)
-        T = self.curv_2form
-        P = self.second_ff
-        out = _sym_zeros((self.m, self.n))
-        for l in range(self.m):
-            acc = [sp.S.Zero] * self.n
-            dphil = [self.dphi[e][l] for e in range(self.n)]
-            for i, ip, gii in self.trace_pairs():
-                for j, jp, gjj in self.trace_pairs():
-                    Xi = [self.dphi[b][i] for b in range(self.n)]
-                    Yj = [self.dphi[c][j] for c in range(self.n)]
-                    Pli = [P[b][l][i] for b in range(self.n)]
-                    t1 = self.nabla_r_apply(dphil, Xi, Yj, T[ip][jp])
-                    t2 = self.curv_apply(Pli, Yj, T[ip][jp])
-                    inner = self.nabla_r_apply(dphil, [self.dphi[b][ip] for b in range(self.n)],
-                                               [self.dphi[c][jp] for c in range(self.n)], u0)
-                    inner2 = self.curv_apply([P[b][l][ip] for b in range(self.n)],
-                                             [self.dphi[c][jp] for c in range(self.n)], u0)
-                    inner3 = self.curv_apply([self.dphi[b][ip] for b in range(self.n)],
-                                             [self.dphi[c][jp] for c in range(self.n)],
-                                             [cd_u0[d][l] for d in range(self.n)])
-                    w = [inner[d] + 2 * inner2[d] + inner3[d] for d in range(self.n)]
-                    t3 = self.curv_apply(Xi, Yj, w)
-                    for a in range(self.n):
-                        acc[a] += gii * gjj * (t1[a] + 2 * t2[a] + t3[a])
-            out[l] = acc
-        return out
 
     # -- evaluation ---------------------------------------------------------------------
 

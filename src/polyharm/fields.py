@@ -13,7 +13,10 @@ of the second fundamental form): ``analytic_jet`` differentiates closed forms
 and evaluates them on the grid, ``grid_fd`` applies stencils.  Every operator
 above them has one body over the node-wise kernels; only ``tension`` keeps
 its closed form in ``analytic_jet`` mode, because the tower differentiates
-it again.
+it again.  The kernels also take sympy object arrays: on the engine's
+leaves they build the other closed forms that ``analytic_jet``
+differentiates again, so the second fundamental form here and Omega_0 in
+``polytension`` have one implementation each.
 
 Every operation is node-wise (up to a stencil halo).  What does not change
 is evaluated once and kept read-only: a :class:`GridPlan` holds the domain
@@ -494,8 +497,27 @@ def second_ff_partials(gmap: GridMap, sff: np.ndarray) -> np.ndarray:
     """d_k nabla dphi^a_{ij}: shape (n, m, m, m) + grid with the derivative
     index last; the closed-form second fundamental form in analytic_jet
     mode, stencils of the node values ``sff`` in grid_fd."""
-    exprs = gmap.engine.second_ff if gmap.eval_mode == "analytic_jet" else None
+    exprs = second_ff_exprs(gmap.engine).tolist() if gmap.eval_mode == "analytic_jet" else None
     return section_partials(gmap, sff, exprs)
+
+
+# ---------------------------------------------------------------------------
+# closed forms: the node-wise kernels applied to the engine's sympy leaves as
+# object arrays (node shape ()), whose entries np.einsum multiplies and adds
+# with their own operators
+# ---------------------------------------------------------------------------
+
+
+def normalised(eng: MapEngine, arr: np.ndarray) -> np.ndarray:
+    """The entries of a kernel-built object array, each normalised as the
+    engine normalises its leaves."""
+    return np.vectorize(eng._norm, otypes=[object])(arr)
+
+
+def second_ff_exprs(eng: MapEngine) -> np.ndarray:
+    """The closed-form nabla dphi^a_{ij} of the engine's map as an object array."""
+    leaves = (eng.d2phi, eng.gam_dom, eng.gamma_c, eng.dphi)
+    return normalised(eng, second_ff_values(*(np.array(t, dtype=object) for t in leaves)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +552,12 @@ def a_term_values(eta, xi, ginv, d1, lap_phi, gam, s_t) -> np.ndarray:
     return out
 
 
+def second_ff_values(d2, gam_dom, gam, d1) -> np.ndarray:
+    """nabla dphi^a_{ij} = d2 phi^a_{ij} - Gamma_dom^k_{ij} dphi^a_k + Gamma^a_{bc} dphi^b_i dphi^c_j."""
+    out = d2 - np.einsum("kij...,ak...->aij...", gam_dom, d1)
+    return out + np.einsum("abc...,bi...,cj...->aij...", gam, d1, d1)
+
+
 def trace_R_dphi_frame(ginv, riem, d1) -> np.ndarray:
     """Sum_k R(dphi_k, dphi_i) dphi_k for every frame index i: shape (n, m) + node."""
     return np.einsum("adbc...,bd...,ci...->ai...", riem, frame_trace(ginv, d1, d1), d1)
@@ -549,14 +577,8 @@ def a_term_data(gmap: GridMap) -> tuple:
 
 def second_fundamental_form(gmap: GridMap) -> np.ndarray:
     """nabla dphi^a_{ij} per node: shape (n, m, m) + grid."""
-    d1 = dphi_values(gmap)
-    d2 = map_second_partials(gmap)
-    gam_dom = gmap.plan.christoffel
-    gam_tgt = target_christoffel(gmap)
-    out = d2.copy()
-    out -= np.einsum("kij...,ak...->aij...", gam_dom, d1)
-    out += np.einsum("abc...,bi...,cj...->aij...", gam_tgt, d1, d1)
-    return out
+    return second_ff_values(map_second_partials(gmap), gmap.plan.christoffel, target_christoffel(gmap),
+                            dphi_values(gmap))
 
 
 @_per_map

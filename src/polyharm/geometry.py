@@ -198,7 +198,10 @@ class _SymbolicChart:
         for i in range(d):
             for j in range(d):
                 e = sp.Add(*[riem[k][j][k][i] for k in range(d)])
-                out[i][j] = sp.cancel(e)
+                # trigsimp combines the trigonometric entries of warped
+                # metrics (4 sin^2 - 4 cos^2 + 4 to 8 sin^2), which would
+                # otherwise cancel catastrophically near the poles
+                out[i][j] = sp.cancel(e if e.is_rational_function(*self.coords) else sp.trigsimp(e))
         return out
 
     @functools.cached_property

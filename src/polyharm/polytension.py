@@ -17,11 +17,14 @@ Fourth-order curvature corrections: ``xi_1``, the codifferential expansion
 of ``Omega_1``, the trace term and the assembly of ``hat tau_4`` are one
 node-wise kernel, ``hat_tau4_values``, shared by closed-form maps (fed with
 evaluated leaves) and the pointwise latitude reduction.  ``Omega_0``,
-``Omega_1`` and the tensorial Leibniz expansion of ``covd Omega_0`` stay
-symbolic, because the two evaluation paths for ``lapbar Omega_0``
-(``lapbar_omega0_paths``: the rough Laplacian of ``Omega_0`` versus the
-codifferential of the expansion) differentiate them again on the shared
-kernels.  Together they build ``hat tau_4`` and the ES-4 tension field.
+``Omega_1`` and the Leibniz expansion of ``covd Omega_0`` are one kernel
+each (``omega0_values``, ``omega1_values``, ``covd_omega0_values``).  The
+two evaluation paths for ``lapbar Omega_0`` (``lapbar_omega0_paths``: the
+rough Laplacian of ``Omega_0`` versus the codifferential of the expansion)
+differentiate their closed forms again, so there the kernels run on the
+engine's sympy leaves as object arrays; ``es4_terms`` reads every kernel on
+evaluated arrays.  Together they build ``hat tau_4`` and the ES-4 tension
+field.
 """
 from __future__ import annotations
 
@@ -44,7 +47,9 @@ from .fields import (
     frame_trace,
     grid_laplacians,
     grid_partials,
+    normalised,
     rough_laplacian,
+    second_ff_exprs,
     second_fundamental_form,
     section_partials,
     target_christoffel,
@@ -68,6 +73,8 @@ __all__ = [
     "hat_tau4",
     "hat_tau4_values",
     "omega0_values",
+    "omega1_values",
+    "covd_omega0_values",
     "tau4_es",
     "MIN_NODES_PER_LEVEL",
     "ES4_PATH_TOL",
@@ -121,6 +128,45 @@ def omega0_values(ginv, riem, d1, T) -> np.ndarray:
     contraction carries at most three operands."""
     up = np.einsum("ik...,bi...->bk...", ginv, d1)
     return np.einsum("adbc...,bcd...->a...", riem, np.einsum("bk...,cl...,dkl...->bcd...", up, up, T))
+
+
+def omega1_values(ginv, riem, d1, T, u0) -> np.ndarray:
+    """Omega_1(e_i) = g^{jk} R(T_{ij}, tau) dphi_k for the 2-form
+    T = R(dphi_i, dphi_j) tau of shape (n, m, m) + node: shape (m, n) + node
+    with the form index first."""
+    t_d1 = np.einsum("jk...,bij...,dk...->ibd...", ginv, T, d1)
+    return np.einsum("adbc...,ibd...,c...->ia...", riem, t_d1, u0)
+
+
+def covd_omega0_values(ginv, riem, nabla_riem, d1, sff, u0, cd_u0) -> np.ndarray:
+    """covd_l Omega_0 through the Leibniz expansion of the double curvature
+    composite, with nabla R, the second fundamental form P = nabla dphi and
+    covd tau in place of derivatives of Omega_0: shape (m, n) + node with
+    the form index l first,
+
+        g^{ik} g^{jq} [ (nabla_{dphi_l} R)(dphi_i, dphi_j) T_{kq}
+                        + 2 R(P_{li}, dphi_j) T_{kq} + R(dphi_i, dphi_j) W_{lkq} ],
+        W_{lkq} = (nabla_{dphi_l} R)(dphi_k, dphi_q) tau + 2 R(P_{lk}, dphi_q) tau
+                  + R(dphi_k, dphi_q) covd_l tau,
+
+    with T = R(dphi_i, dphi_j) tau.  Each factor 2 counts the two slots that
+    the antisymmetry of R(dphi_i, dphi_j) under the g-trace makes equal.
+    ``nabla_riem`` None stands for nabla R = 0, whose terms are not formed."""
+    T = curv_2form_values(riem, d1, u0)
+    up = np.einsum("ik...,bi...->bk...", ginv, d1)
+    r_pull = np.einsum("adbc...,bk...,cq...->adkq...", riem, d1, d1)
+    w = np.einsum("adkq...,dl...->alkq...", r_pull, cd_u0)
+    w += 2 * np.einsum("abc...,blk...,cq...->alkq...", np.einsum("adbc...,d...->abc...", riem, u0), sff, d1)
+    if nabla_riem is not None:
+        nr_l = np.einsum("adbce...,el...->adbcl...", nabla_riem, d1)  # nabla_{dphi_l} R
+        w += np.einsum("abcl...,bk...,cq...->alkq...", np.einsum("adbcl...,d...->abcl...", nr_l, u0), d1, d1)
+    sff_up = np.einsum("ik...,bli...->blk...", ginv, sff)
+    inner = 2 * np.einsum("blk...,cq...,dkq...->lbcd...", sff_up, up, T)
+    inner += np.einsum("bk...,cq...,dlkq...->lbcd...", up, up, w)
+    out = np.einsum("adbc...,lbcd...->la...", riem, inner)
+    if nabla_riem is not None:
+        out += np.einsum("adbcl...,bcd...->la...", nr_l, np.einsum("bk...,cq...,dkq...->bcd...", up, up, T))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +438,25 @@ def hat_tau4_values(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, omega0, lapbar_o
 def lapbar_omega0_paths(gmap: GridMap) -> tuple[np.ndarray, np.ndarray]:
     """lapbar Omega_0 on a closed-form map along two independent routes:
     (a) the rough Laplacian of the Omega_0 section, (b) the codifferential
-    of the tensorial Leibniz expansion of covd Omega_0."""
+    of the Leibniz expansion of covd Omega_0.  Both closed forms are the
+    kernels ``omega0_values`` and ``covd_omega0_values`` applied to the
+    engine's leaves; Omega_0 is normalised per entry like a tower level."""
     eng = gmap.engine
-    omega0 = BundleSection(gmap, gmap.eval_exprs(eng.omega0), exprs=eng.omega0)
-    expansion = eng.nabla_omega0_tensorial
-    return (rough_laplacian(omega0).values,
+    ginv, riem, gam, d1, u0, v0 = (np.array(t, dtype=object) for t in (
+        eng.ginv, eng.riemann_c, eng.gamma_c, eng.dphi, eng.tension, eng.grad(eng.tension)))
+    omega0 = normalised(eng, omega0_values(ginv, riem, d1, curv_2form_values(riem, d1, u0))).tolist()
+    nabla_riem = None if gmap.tgt.is_space_form else np.array(eng.nabla_riemann_c, dtype=object)
+    cd_u0 = covd_values(v0, gam, d1, u0)
+    expansion = covd_omega0_values(ginv, riem, nabla_riem, d1, second_ff_exprs(eng), u0, cd_u0).tolist()
+    return (rough_laplacian(BundleSection(gmap, gmap.eval_exprs(omega0), exprs=omega0)).values,
             codifferential(gmap, gmap.eval_exprs(expansion), expansion))
 
 
 def es4_terms(gmap: GridMap) -> ES4Terms:
-    """Omega_0, Omega_1, xi_1 and hat tau_4.  On a curved target the two
-    ``lapbar_omega0_paths`` must agree within ``ES4_PATH_TOL`` (sup-norm,
-    relative to max(1, sup |path (a)|)); path (a) enters hat tau_4."""
+    """Omega_0, Omega_1, xi_1 and hat tau_4, read by the kernels on
+    evaluated arrays.  On a curved target the two ``lapbar_omega0_paths``
+    must agree within ``ES4_PATH_TOL`` (sup-norm, relative to
+    max(1, sup |path (a)|)); path (a) enters hat tau_4."""
     if gmap.tgt.is_curvature_free:
         zero = np.zeros_like(gmap.values)
         return ES4Terms(BundleSection(gmap, zero), np.zeros((gmap.dom.dim,) + zero.shape),
@@ -416,14 +469,15 @@ def es4_terms(gmap: GridMap) -> ES4Terms:
         raise NumericalContractError(
             f"two lapbar Omega_0 evaluation paths disagree: sup gap {gap:.3e} (scale {scale:.3e})"
         )
-    eng = gmap.engine
-    omega0 = gmap.eval_exprs(eng.omega0)
+    ginv, d1 = gmap.plan.ginv, dphi_values(gmap)
+    riem = gmap.tgt.riemann(*gmap.values)
     tau = tension(gmap)
+    T = curv_2form_values(riem, d1, tau.values)
+    omega0 = omega0_values(ginv, riem, d1, T)
     xi1, _, hat = hat_tau4_values(
-        gmap.plan.ginv, dphi_values(gmap), second_fundamental_form(gmap),
-        gmap.tgt.riemann(*gmap.values), gmap.tgt.nabla_riemann(*gmap.values),
+        ginv, d1, second_fundamental_form(gmap), riem, gmap.tgt.nabla_riemann(*gmap.values),
         tau.values, covariant_derivative(tau).values, omega0, path_a)
-    return ES4Terms(BundleSection(gmap, omega0, exprs=eng.omega0), gmap.eval_exprs(eng.omega1),
+    return ES4Terms(BundleSection(gmap, omega0), omega1_values(ginv, riem, d1, T, tau.values),
                     BundleSection(gmap, xi1), BundleSection(gmap, hat))
 
 

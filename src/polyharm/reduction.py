@@ -401,8 +401,8 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
     r5 = _sup_ratio(_abs_block(fk1 - fk2, gs), den5, mask)
 
     # the full estimate on the extended reduced vector
-    z1 = build_reduced(gmap, k, "extended")
-    z2 = build_reduced(gmap2, k, "extended")
+    z1 = _reduced_from_tower(gmap, k, "extended", t1)
+    z2 = _reduced_from_tower(gmap2, k, "extended", t2)
     dz = z1.stacked() - z2.stacked()
     num = np.max(np.abs(grid_laplacians(gmap, dz)), axis=0)
     den_full = phi_d + dphi_d + sff_d + sum(u_d) + sum(v_d) + sum(dv_d) + du_top_d

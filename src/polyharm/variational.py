@@ -37,6 +37,7 @@ from .fields import (
     covd_values,
     dphi_values,
     gamma_trace,
+    second_ff_values,
     tension,
 )
 from .geometry import round_sphere_polar, sphere_cap_domain
@@ -265,8 +266,7 @@ def _latitude_hat_tau4(st: dict) -> np.ndarray:
     zero = np.zeros(d1.shape)
     u0 = -lap_phi + gamma_trace(ginv, gam, d1)
     cd_u0 = covd_values(zero, gam, d1, u0)
-    sff = (np.einsum("abc...,bi...,cj...->aij...", gam, d1, d1)
-           - np.einsum("kij...,ak...->aij...", st["gam_dom"], d1))
+    sff = second_ff_values(0.0, st["gam_dom"], gam, d1)  # the inclusion is linear: d2 phi = 0
     omega0 = omega0_values(ginv, riem, d1, curv_2form_values(riem, d1, u0))
     lapbar_omega0 = a_term_values(omega0, zero, ginv, d1, lap_phi, gam, s_t)
     return hat_tau4_values(ginv, d1, sff, riem, None, u0, cd_u0, omega0, lapbar_omega0)[2]

@@ -325,6 +325,10 @@ PAIRWISE_KERNELS = {
         pt.omega0_values,
         lambda g, r, d1, T: np.einsum("ik...,jl...,adbc...,bi...,cj...,dkl...->a...", g, g, r, d1, d1, T),
         ("g", "nnnn", "nm", "nmm")),
+    "omega1_values": (
+        pt.omega1_values,
+        lambda g, r, d1, T, u0: np.einsum("jk...,adbc...,bij...,c...,dk...->ia...", g, r, T, u0, d1),
+        ("g", "nnnn", "nm", "nmm", "n")),
 }
 
 
@@ -351,6 +355,19 @@ def test_pairwise_kernels_match_literal_einsum(n, m, node):
             poisoned[i] = ops[i].copy()
             poisoned[i].flat[rng.integers(ops[i].size)] = np.nan
             assert np.any(np.isnan(kernel(*poisoned))), (name, i)
+        if node == ():
+            # sympy operands: the kernel builds the closed form of the same sum
+            closed = kernel(*(np.vectorize(sp.Float, otypes=[object])(op) for op in ops))
+            assert np.max(np.abs(closed.astype(float) - got)) <= 1e-13 * np.max(np.abs(got)), name
+
+
+def test_second_ff_closed_form_matches_operator(map_latitude, map_circle_sphere):
+    # one kernel: on the engine's leaves it builds the closed form whose
+    # partials the Weitzenboeck defect reads, on evaluated nodes the operator
+    for gm in (map_latitude, map_circle_sphere):
+        want = fl.second_fundamental_form(gm)
+        got = gm.eval_exprs(fl.second_ff_exprs(gm.engine).tolist())
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_weitzenbock_flat_affine(harmonic_maps):

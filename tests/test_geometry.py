@@ -264,6 +264,18 @@ def test_cap_domain_ricci_is_einstein():
     assert np.max(np.abs(ric - g)) <= 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polar_sphere_ricci_is_einstein_near_the_pole(dim):
+    # Ric = (dim - 1) h entrywise; an uncombined trigonometric entry
+    # (4 sin^2 s - 4 cos^2 s + 4) loses digits as s -> 0
+    model = geo.round_sphere_polar(dim)
+    ricci = geo.lambdify_tensor(model.coords, model._sym.ricci_exprs)
+    for s in (1e-2, 1e-3, 1e-4):
+        pts = [0.3, -0.2][: dim - 1] + [s]
+        want = (dim - 1) * model.metric(*pts)
+        assert np.all(np.abs(ricci(*pts) - want) <= 1e-13 * np.abs(want)), s
+
+
 # -- the evaluator contract and cold model builds --------------------------------
 
 

@@ -301,16 +301,20 @@ def test_lapbar_omega0_two_paths(map_flat_sphere):
 
 
 def test_codifferential_expansion_vs_direct(map_flat_sphere):
-    # the six-term expansion against the codifferential kernel on the closed-form Omega_1
+    # the six-term expansion against the codifferential kernel on the closed-form
+    # Omega_1, built by the Omega_1 kernel on the engine's leaves
     gm = map_flat_sphere
     eng = gm.engine
+    ginv, riem, d1, u0 = (np.array(t, dtype=object) for t in (eng.ginv, eng.riemann_c, eng.dphi, eng.tension))
+    T = pt.curv_2form_values(riem, d1, u0)
+    omega0 = gm.eval_exprs(fl.normalised(eng, pt.omega0_values(ginv, riem, d1, T)).tolist())
+    omega1 = pt.omega1_values(ginv, riem, d1, T, u0).tolist()
     tau = fl.tension(gm)
-    omega0 = gm.eval_exprs(eng.omega0)
     xi1, lhs, _ = pt.hat_tau4_values(
         gm.dom.metric_inv(*gm.mesh), fl.dphi_values(gm), fl.second_fundamental_form(gm),
         gm.tgt.riemann(*gm.values), gm.tgt.nabla_riemann(*gm.values), tau.values,
         fl.covariant_derivative(tau).values, omega0, np.zeros_like(omega0))
-    rhs = 2 * xi1 + 2 * fl.codifferential(gm, gm.eval_exprs(eng.omega1), eng.omega1)
+    rhs = 2 * xi1 + 2 * fl.codifferential(gm, gm.eval_exprs(omega1), omega1)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, float(np.max(np.abs(rhs))))
 
 
@@ -364,14 +368,55 @@ def test_hat_tau4_values_match_frame_loop(n, m, node, parallel):
         assert np.any(np.isnan(pt.hat_tau4_values(*poisoned)[2])), i
 
 
+def _covd_omega0_frame_loop(ginv, riem, nabla_riem, d1, sff, u0, cd_u0):
+    """covd_omega0_values as a literal loop over the frame tuples (l, i, i', j, j')."""
+    def curv(X, Y, Z):
+        return np.einsum("adbc...,b...,c...,d...->a...", riem, X, Y, Z)
+
+    def nabla_r(W, X, Y, Z):
+        return np.einsum("adbce...,e...,b...,c...,d...->a...", nabla_riem, W, X, Y, Z)
+
+    m = d1.shape[1]
+    T = np.einsum("adbc...,bi...,cj...,d...->aij...", riem, d1, d1, u0)
+    out = np.zeros((m,) + u0.shape)
+    for l, i, ip, j, jp in np.ndindex(m, m, m, m, m):
+        w = 2 * curv(sff[:, l, ip], d1[:, jp], u0) + curv(d1[:, ip], d1[:, jp], cd_u0[:, l])
+        t = 2 * curv(sff[:, l, i], d1[:, j], T[:, ip, jp])
+        if nabla_riem is not None:
+            w = w + nabla_r(d1[:, l], d1[:, ip], d1[:, jp], u0)
+            t = t + nabla_r(d1[:, l], d1[:, i], d1[:, j], T[:, ip, jp])
+        out[l] += ginv[i, ip] * ginv[j, jp] * (t + curv(d1[:, i], d1[:, j], w))
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2), (4, 3)])
+@pytest.mark.parametrize("node", [(), (7,), (4, 4)])
+@pytest.mark.parametrize("parallel", [False, True])
+def test_covd_omega0_values_match_frame_loop(n, m, node, parallel):
+    rng = np.random.default_rng(1000 * n + 10 * m + len(node))
+    a = rng.standard_normal((m, m) + node)
+    shapes = [(n, n, n, n), (n, n, n, n, n), (n, m), (n, m, m), (n,), (n, m)]
+    ops = [a + np.swapaxes(a, 0, 1)] + [rng.standard_normal(sh + node) for sh in shapes]
+    if parallel:  # nabla R = 0: the kernel skips its terms
+        ops[2] = None
+    want = _covd_omega0_frame_loop(*ops)
+    got = pt.covd_omega0_values(*ops)
+    assert got.shape == want.shape == (m, n) + node
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if node == ():  # sympy operands build the closed form of the same sum
+        sym = [None if op is None else np.vectorize(sp.Float, otypes=[object])(op) for op in ops]
+        closed = pt.covd_omega0_values(*sym).astype(float)
+        assert np.max(np.abs(closed - got)) <= 1e-13 * np.max(np.abs(got))
+
+
 def test_codifferential_of_covd_is_rough_laplacian(dom_bumpy, tgt_s2):
     # d* covd tau = lapbar tau; the bumpy circle has a non-zero domain Gamma,
     # which vanishes on every flat test torus
     x = dom_bumpy.coords[0]
     gm = fl.GridMap.from_exprs(dom_bumpy, tgt_s2, (48,), (x, sp.pi / 2 + sp.sin(x) / 4))
     eng = gm.engine
-    cd = eng.covd(eng.tension)
-    w = [[cd[a][i] for a in range(eng.n)] for i in range(eng.m)]
+    v0, gam, d1, u0 = (np.array(t, dtype=object) for t in (eng.grad(eng.tension), eng.gamma_c, eng.dphi, eng.tension))
+    w = fl.covd_values(v0, gam, d1, u0).T.tolist()
     d_star = fl.codifferential(gm, gm.eval_exprs(w), w)
     lapbar = fl.rough_laplacian(fl.tension(gm)).values
     assert np.max(np.abs(d_star - lapbar)) <= 1e-10 * float(np.max(np.abs(lapbar)))

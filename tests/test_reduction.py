@@ -158,6 +158,21 @@ def test_pair_bound_finite_and_stable(pair_maps, dom_t1, tgt_s2):
         assert abs(r2.ratio - r1.ratio) <= 0.1 * r1.ratio, name
 
 
+def test_pair_bound_builds_each_tower_once(pair_maps, monkeypatch):
+    # the extended reduced vectors reuse the towers the lemma rows read
+    calls = []
+    build = red.build_tower
+
+    def counted(gmap, k, *args, **kwargs):
+        calls.append(gmap)
+        return build(gmap, k, *args, **kwargs)
+
+    monkeypatch.setattr(red, "build_tower", counted)
+    g1, g2 = pair_maps
+    red.pair_difference_bound(g1, g2, 3)
+    assert len(calls) == 2 and calls[0] is g1 and calls[1] is g2
+
+
 def test_pair_window_equality(dom_t1, tgt_s2, map_window_equatorial):
     # second map perturbed only outside the window: the difference blocks
     # vanish identically on the window interior
