@@ -8,7 +8,7 @@ hash identically.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import sympy as sp
@@ -35,13 +35,6 @@ COMMANDS = (
     "flow",
 )
 
-_FIELDS = {
-    "schema_version", "command", "domain", "target", "map", "map2", "order",
-    "grid_shape", "eval_mode", "fd_order", "window", "kind", "latitude", "flow",
-    "variation", "out",
-}
-
-
 @dataclass
 class ExperimentConfig:
     command: str
@@ -63,7 +56,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _FIELDS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:

@@ -37,14 +37,13 @@ import sympy as sp
 from . import stencils
 from .engine import MapEngine
 from .errors import CapabilityError, ConfigurationError
-from .geometry import DomainModel, TargetModel, _map_nested, grid_axes, lambdify_tensor
+from .geometry import DomainModel, TargetModel, _map_nested, lambdify_tensor
 
 __all__ = [
     "GridMap",
     "GridPlan",
     "grid_plan",
     "BundleSection",
-    "MapDifferential",
     "VGrid",
     "differential",
     "second_fundamental_form",
@@ -102,7 +101,7 @@ class GridMap:
                    eval_mode: str = "analytic_jet", winding=None, fd_order: int = 4) -> "GridMap":
         grid_shape = tuple(int(s) for s in grid_shape)
         exprs = tuple(sp.sympify(e) for e in exprs)
-        values = lambdify_tensor(dom.coords, exprs)(*_mesh_any(dom, grid_shape))
+        values = lambdify_tensor(dom.coords, exprs)(*_mesh(dom, grid_shape))
         if winding is None and dom.chart.periodic:
             winding = _detect_winding(dom, exprs)
         return cls(dom, tgt, grid_shape, values, eval_mode, exprs if eval_mode == "analytic_jet" else None,
@@ -114,10 +113,6 @@ class GridMap:
         return cls(dom, tgt, values.shape[1:], values, "grid_fd", None, winding, fd_order)
 
     # -- geometry of the grid ---------------------------------------------------
-
-    @functools.cached_property
-    def axes(self):
-        return _axes_any(self.dom, self.grid_shape)
 
     @functools.cached_property
     def plan(self) -> "GridPlan":
@@ -184,14 +179,8 @@ class GridMap:
         stencils.check_resolution(self.grid_shape, self.fd_order)
 
 
-def _axes_any(dom: DomainModel, shape):
-    if dom.chart.periodic:
-        return grid_axes(dom, shape)
-    return [np.linspace(lo, hi, n) for lo, hi, n in zip(dom.chart.lo, dom.chart.hi, shape)]
-
-
-def _mesh_any(dom: DomainModel, shape):
-    return np.meshgrid(*_axes_any(dom, shape), indexing="ij")
+def _mesh(dom: DomainModel, shape):
+    return np.meshgrid(*dom.axes(shape), indexing="ij")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -212,7 +201,7 @@ class GridPlan:
 
     @functools.cached_property
     def mesh(self):
-        return tuple(_read_only(x) for x in _mesh_any(self.dom, self.grid_shape))
+        return tuple(_read_only(x) for x in _mesh(self.dom, self.grid_shape))
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
@@ -341,17 +330,9 @@ class BundleSection:
 
 
 @dataclass
-class MapDifferential:
-    """Components phi^a_i per node: shape (n, m) + grid_shape."""
-
-    base: GridMap
-    values: np.ndarray
-    exprs: list | None = field(default=None, repr=False)
-
-
-@dataclass
 class VGrid:
-    """First partials of a section's components: shape (n, m) + grid_shape."""
+    """First partials of a section's components, or the map's differential
+    dphi^a_i: shape (n, m) + grid_shape."""
 
     base: GridMap
     values: np.ndarray
@@ -374,7 +355,7 @@ def grid_partials(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _laplace_beltrami(gmap: GridMap, arr: np.ndarray, slope: np.ndarray | None = None) -> np.ndarray:
+def grid_laplacians(gmap: GridMap, arr: np.ndarray, slope: np.ndarray | None = None) -> np.ndarray:
     """Domain Laplace-Beltrami (geometer's sign) of every component of a
     periodic array of shape ``F + grid``; g^{-1} and the first-order
     coefficients g^{ij} Gamma^k_{ij} come from the grid's plan.
@@ -401,12 +382,6 @@ def _laplace_beltrami(gmap: GridMap, arr: np.ndarray, slope: np.ndarray | None =
             if np.any(coef != 0):
                 out += coef * slope[..., k][(...,) + (None,) * m]
     return out
-
-
-def grid_laplacians(gmap: GridMap, arr: np.ndarray) -> np.ndarray:
-    """Domain Laplace-Beltrami (geometer's sign) of every component of a
-    periodic array of shape ``F + grid``."""
-    return _laplace_beltrami(gmap, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +423,10 @@ def dphi_values(gmap: GridMap) -> np.ndarray:
     return map_partials(gmap)
 
 
-def differential(gmap: GridMap) -> MapDifferential:
+def differential(gmap: GridMap) -> VGrid:
     """dphi per node, with its closed form in analytic_jet mode."""
     exprs = gmap.engine.dphi if gmap.eval_mode == "analytic_jet" else None
-    return MapDifferential(gmap, dphi_values(gmap), exprs=exprs)
+    return VGrid(gmap, dphi_values(gmap), exprs=exprs)
 
 
 def map_partials(gmap: GridMap) -> np.ndarray:
@@ -483,7 +458,7 @@ def map_laplacian(gmap: GridMap) -> np.ndarray:
     the winding contributes only through the first-order term."""
     if gmap.eval_mode == "analytic_jet":
         return gmap.eval_exprs(gmap.engine.lap_phi)
-    return _laplace_beltrami(gmap, gmap.periodic_values, gmap.winding)
+    return grid_laplacians(gmap, gmap.periodic_values, gmap.winding)
 
 
 def map_laplacian_partials(gmap: GridMap, lap_phi: np.ndarray) -> np.ndarray:

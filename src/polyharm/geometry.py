@@ -1,10 +1,14 @@
 """Analytic chart models of the domain and target manifolds.
 
-Both sides live in a single coordinate chart.  All model data (metric,
-Christoffel symbols and their coordinate jets, curvature and its covariant
-derivatives, the derived tensors S, C, E) is obtained by symbolic
-differentiation of closed-form metric expressions and is therefore exact;
-model data is never finite-differenced.
+Both sides live in a single coordinate chart with a closed-form metric.  A
+:class:`ChartModel` derives everything the two sides share from it (g^{-1},
+the Christoffel symbols and their jet, the Ricci tensor, the jet of g^{-1})
+with one vectorized evaluator each.  :class:`DomainModel` adds the box chart
+and lays out its grid nodes (``axes``); :class:`TargetModel` adds curvature
+and its covariant derivative, the derived tensors S, C, E, the jet-order
+gate and the chart-domain checks.  All model data is obtained by symbolic
+differentiation of the metric expressions and is therefore exact; model
+data is never finite-differenced.
 
 Conventions
 -----------
@@ -21,7 +25,7 @@ Conventions
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +35,7 @@ from .errors import CapabilityError, ChartDomainError, ConfigurationError
 
 __all__ = [
     "ChartBox",
+    "ChartModel",
     "DomainModel",
     "TargetModel",
     "flat_torus",
@@ -160,13 +165,18 @@ class ChartBox:
     periodic: bool = True
 
 
-class _SymbolicChart:
-    """Shared lazy machinery for one-chart models built on a metric expression."""
+class ChartModel:
+    """One chart with a closed-form metric and everything derived from it:
+    g^{-1}, the Christoffel symbols and their first jet, the Ricci tensor
+    (Christoffel -> Riemann route) and the jet of g^{-1}, each expression
+    built on first use, plus their vectorized evaluators."""
 
     def __init__(self, dim: int, coords, metric_exprs):
         self.dim = dim
         self.coords = tuple(coords)
         self.metric_exprs = metric_exprs
+
+    # -- symbolic data ------------------------------------------------------
 
     @functools.cached_property
     def metric_inv_exprs(self):
@@ -187,13 +197,11 @@ class _SymbolicChart:
         return [[[[sp.diff(g[a][b][cc], c[e]) for e in range(d)] for cc in range(d)] for b in range(d)] for a in range(d)]
 
     @functools.cached_property
-    def riemann_exprs(self):
-        return riemann_from_christoffel(self.christoffel_exprs, self.coords)
-
-    @functools.cached_property
     def ricci_exprs(self):
         d = self.dim
-        riem = self.riemann_exprs
+        # the generic route even where a target's riemann_exprs is the
+        # space-form closed form, so Ric = (n - 1) h on a sphere checks it
+        riem = riemann_from_christoffel(self.christoffel_exprs, self.coords)
         out = _sym_zeros((d, d))
         for i in range(d):
             for j in range(d):
@@ -210,46 +218,7 @@ class _SymbolicChart:
         gi = self.metric_inv_exprs
         return [[[sp.diff(gi[k][j], self.coords[i]) for i in range(d)] for j in range(d)] for k in range(d)]
 
-
-@dataclass(frozen=True)
-class DomainModel:
-    """The (M, g) side: metric, Christoffels and their jets, Ricci tensor.
-
-    Numeric evaluators are vectorized over trailing node axes; symbolic
-    expressions are exposed for the analytic-jet pipeline.
-    """
-
-    dim: int
-    coords: tuple[sp.Symbol, ...]
-    chart: ChartBox
-    name: str
-    _sym: _SymbolicChart = field(repr=False)
-
-    @property
-    def metric_exprs(self):
-        return self._sym.metric_exprs
-
-    @property
-    def metric_inv_exprs(self):
-        return self._sym.metric_inv_exprs
-
-    @property
-    def christoffel_exprs(self):
-        return self._sym.christoffel_exprs
-
-    @property
-    def christoffel_jet_exprs(self):
-        return self._sym.christoffel_jet_exprs
-
-    @property
-    def ricci_exprs(self):
-        return self._sym.ricci_exprs
-
-    @property
-    def is_flat_euclidean(self) -> bool:
-        d = self.dim
-        ident = all(self.metric_exprs[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d))
-        return ident
+    # -- numeric evaluators (vectorized over trailing node axes) -------------
 
     @functools.cached_property
     def metric(self) -> Callable:
@@ -273,7 +242,28 @@ class DomainModel:
 
     @functools.cached_property
     def metric_inv_jet(self) -> Callable:
-        return lambdify_tensor(self.coords, self._sym.metric_inv_jet_exprs)
+        return lambdify_tensor(self.coords, self.metric_inv_jet_exprs)
+
+
+class DomainModel(ChartModel):
+    """The (M, g) side: a chart model on a box chart, periodic (a torus) or
+    not, whose nodes it lays out itself."""
+
+    def __init__(self, dim: int, coords, metric_exprs, chart: ChartBox, name: str):
+        super().__init__(dim, coords, metric_exprs)
+        self.chart = chart
+        self.name = name
+
+    @property
+    def is_flat_euclidean(self) -> bool:
+        d = self.dim
+        return all(self.metric_exprs[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d))
+
+    def axes(self, shape: Sequence[int]) -> list[np.ndarray]:
+        """Node coordinates per axis: a periodic chart omits the endpoint
+        that duplicates the first node, a box chart keeps both endpoints."""
+        box = self.chart
+        return [np.linspace(lo, hi, n, endpoint=not box.periodic) for lo, hi, n in zip(box.lo, box.hi, shape)]
 
 
 def flat_torus(dim: int, period: float | Sequence[float] = 2 * np.pi) -> DomainModel:
@@ -282,13 +272,12 @@ def flat_torus(dim: int, period: float | Sequence[float] = 2 * np.pi) -> DomainM
     coords = tuple(sp.symbols(f"x1:{dim + 1}", real=True))
     g = [[sp.S.One if i == j else sp.S.Zero for j in range(dim)] for i in range(dim)]
     chart = ChartBox(lo=(0.0,) * dim, hi=tuple(periods), periodic=True)
-    return DomainModel(dim, coords, chart, f"flat_torus_{dim}d", _SymbolicChart(dim, coords, g))
+    return DomainModel(dim, coords, g, chart, f"flat_torus_{dim}d")
 
 
 def domain_from_metric(metric_exprs, coords, box: ChartBox, name: str = "user_domain") -> DomainModel:
     """Domain chart from explicit metric expressions in the given symbols."""
-    dim = len(coords)
-    return DomainModel(dim, tuple(coords), box, name, _SymbolicChart(dim, tuple(coords), metric_exprs))
+    return DomainModel(len(coords), coords, metric_exprs, box, name)
 
 
 def stereographic_factor_metric(dim: int, coords) -> list[list[sp.Expr]]:
@@ -316,7 +305,7 @@ def sphere_cap_domain(dim: int, scale_angle: float | sp.Expr) -> DomainModel:
         chart = ChartBox(lo=(0.0,), hi=(2 * np.pi,), periodic=True)
     else:
         chart = ChartBox(lo=(-1.0,) * dim, hi=(1.0,) * dim, periodic=False)
-    return DomainModel(dim, coords, chart, f"sphere_cap_{dim}d", _SymbolicChart(dim, coords, g))
+    return DomainModel(dim, coords, g, chart, f"sphere_cap_{dim}d")
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +313,9 @@ def sphere_cap_domain(dim: int, scale_angle: float | sp.Expr) -> DomainModel:
 # ---------------------------------------------------------------------------
 
 
-class TargetModel:
-    """The (N, h) side: Christoffel jets, curvature and its covariant
-    derivative, plus the derived tensors, all from closed forms:
+class TargetModel(ChartModel):
+    """The (N, h) side: a chart model plus curvature and its covariant
+    derivative and the derived tensors, all from closed forms:
 
     * ``2 S^a_{bwt} = dGamma^a_{bt}/dy^w + Gamma^g_{bt} Gamma^a_{wg}
       + dGamma^a_{wt}/dy^b + Gamma^g_{wt} Gamma^a_{bg}``
@@ -338,29 +327,19 @@ class TargetModel:
     model claims to provide; operations requiring deeper jets raise
     :class:`CapabilityError`.  Space forms (including the round sphere) use
     the constant-curvature closed form for R and have ``nabla R = 0``
-    identically.
+    identically; ``ricci_exprs`` keeps the generic route.
     """
 
     def __init__(self, dim, coords, metric_exprs, kind, name, curvature_const=None,
                  collar=_DEFAULT_COLLAR, jet_order=6):
-        self.dim = dim
-        self.coords = tuple(coords)
+        super().__init__(dim, coords, metric_exprs)
         self.kind = kind
         self.name = name
         self.curvature_const = curvature_const
         self.collar = collar
         self.jet_order = jet_order
-        self._sym = _SymbolicChart(dim, self.coords, metric_exprs)
 
     # -- symbolic data ------------------------------------------------------
-
-    @property
-    def metric_exprs(self):
-        return self._sym.metric_exprs
-
-    @property
-    def christoffel_exprs(self):
-        return self._sym.christoffel_exprs
 
     def require_jets(self, order: int, what: str = "operation") -> None:
         if order > self.jet_order:
@@ -372,7 +351,7 @@ class TargetModel:
     @functools.cached_property
     def christoffel_jet_exprs(self):
         self.require_jets(1, "Christoffel jet")
-        return self._sym.christoffel_jet_exprs
+        return super().christoffel_jet_exprs
 
     @property
     def is_space_form(self) -> bool:
@@ -387,7 +366,7 @@ class TargetModel:
             return [[[[c * (-h[b][dd] * (1 if a == g else 0) + h[g][dd] * (1 if a == b else 0))
                        for g in range(d)] for b in range(d)] for dd in range(d)] for a in range(d)]
         self.require_jets(1, "curvature tensor")
-        return self._sym.riemann_exprs
+        return riemann_from_christoffel(self.christoffel_exprs, self.coords)
 
     @functools.cached_property
     def nabla_riemann_exprs(self):
@@ -452,18 +431,6 @@ class TargetModel:
     # -- numeric evaluators --------------------------------------------------
 
     @functools.cached_property
-    def metric(self):
-        return lambdify_tensor(self.coords, self.metric_exprs)
-
-    @functools.cached_property
-    def christoffel(self):
-        return lambdify_tensor(self.coords, self.christoffel_exprs)
-
-    @functools.cached_property
-    def christoffel_jet(self):
-        return lambdify_tensor(self.coords, self.christoffel_jet_exprs)
-
-    @functools.cached_property
     def riemann(self):
         return lambdify_tensor(self.coords, self.riemann_exprs)
 
@@ -496,7 +463,7 @@ class TargetModel:
         coordinate must stay inside (collar, pi - collar); euclidean and user
         charts are unbounded.
         """
-        if self.kind in ("round_sphere_polar", "space_form") and self.curvature_const not in (0, None):
+        if self.curvature_const not in (0, None):
             s = values[-1]
             smax = np.pi / np.sqrt(self.curvature_const) if self.curvature_const > 0 else np.inf
             return (s <= self.collar) | (s >= smax - self.collar)
@@ -516,24 +483,10 @@ def euclidean(dim: int) -> TargetModel:
     return TargetModel(dim, coords, g, "euclidean", f"euclidean_{dim}d", curvature_const=0)
 
 
-def round_sphere_polar(dim: int, collar: float = _DEFAULT_COLLAR) -> TargetModel:
-    """Unit S^dim in geodesic polar coordinates (w, s), s in (collar, pi-collar)."""
-    if dim < 2:
-        raise ConfigurationError("polar sphere chart needs dim >= 2")
-    coords = tuple(sp.symbols(f"y1:{dim + 1}", real=True))
-    factor = stereographic_factor_metric(dim - 1, coords[:-1])
-    s = coords[-1]
-    g = [[sp.sin(s) ** 2 * factor[i][j] if i < dim - 1 and j < dim - 1 else sp.S.Zero
-          for j in range(dim)] for i in range(dim)]
-    g[dim - 1][dim - 1] = sp.S.One
-    return TargetModel(dim, coords, g, "round_sphere_polar", f"sphere_{dim}d", curvature_const=1, collar=collar)
-
-
-def space_form(dim: int, curvature: float, collar: float = _DEFAULT_COLLAR) -> TargetModel:
-    """Simply connected space form of constant curvature ``curvature`` in a
-    warped polar chart; curvature 0 degrades to the euclidean chart."""
-    if curvature == 0:
-        return euclidean(dim)
+def _warped_polar(dim: int, curvature) -> tuple:
+    """Coordinates (w, s) and the metric warp(s)^2 gt(w) + ds^2 of the
+    constant-curvature polar chart: warp = sin(sqrt(c) s) / sqrt(c) for
+    c > 0, sinh(sqrt(-c) s) / sqrt(-c) for c < 0; warp = sin(s) for c = 1."""
     coords = tuple(sp.symbols(f"y1:{dim + 1}", real=True))
     factor = stereographic_factor_metric(dim - 1, coords[:-1])
     s = coords[-1]
@@ -544,22 +497,27 @@ def space_form(dim: int, curvature: float, collar: float = _DEFAULT_COLLAR) -> T
         warp = sp.sinh(sp.sqrt(-c) * s) / sp.sqrt(-c)
     g = [[warp**2 * factor[i][j] if i < dim - 1 and j < dim - 1 else sp.S.Zero for j in range(dim)] for i in range(dim)]
     g[dim - 1][dim - 1] = sp.S.One
+    return coords, g
+
+
+def round_sphere_polar(dim: int, collar: float = _DEFAULT_COLLAR) -> TargetModel:
+    """Unit S^dim in geodesic polar coordinates (w, s), s in (collar, pi-collar)."""
+    if dim < 2:
+        raise ConfigurationError("polar sphere chart needs dim >= 2")
+    coords, g = _warped_polar(dim, 1)
+    return TargetModel(dim, coords, g, "round_sphere_polar", f"sphere_{dim}d", curvature_const=1, collar=collar)
+
+
+def space_form(dim: int, curvature: float, collar: float = _DEFAULT_COLLAR) -> TargetModel:
+    """Simply connected space form of constant curvature ``curvature`` in a
+    warped polar chart; curvature 0 degrades to the euclidean chart."""
+    if curvature == 0:
+        return euclidean(dim)
+    coords, g = _warped_polar(dim, curvature)
     return TargetModel(dim, coords, g, "space_form", f"space_form_{dim}d_c{curvature}",
                        curvature_const=curvature, collar=collar)
 
 
 def target_from_metric(metric_exprs, coords, name: str = "user_target", jet_order: int = 6) -> TargetModel:
-    dim = len(coords)
-    return TargetModel(dim, tuple(coords), metric_exprs, "user_metric", name, jet_order=jet_order)
+    return TargetModel(len(coords), coords, metric_exprs, "user_metric", name, jet_order=jet_order)
 
-
-# ---------------------------------------------------------------------------
-# periodic grid nodes
-# ---------------------------------------------------------------------------
-
-
-def grid_axes(dom: DomainModel, shape: tuple[int, ...]):
-    """Node coordinates per axis of the periodic grid (no endpoint duplication)."""
-    if not dom.chart.periodic:
-        raise ConfigurationError(f"domain '{dom.name}' is not periodic; grid operations need a torus chart")
-    return [np.linspace(lo, hi, n, endpoint=False) for lo, hi, n in zip(dom.chart.lo, dom.chart.hi, shape)]

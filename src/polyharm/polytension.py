@@ -260,20 +260,26 @@ def _richardson_estimate(gmap: GridMap, k: int, top_fine: np.ndarray) -> float |
     return float(np.max(np.abs(top_fine[slicer] - top_c)) / (2 ** gmap.fd_order - 1))
 
 
+def _tower_pairs(k: int) -> list[tuple[int, int]]:
+    """The tower-level pairs (p, q) of the mixed curvature terms of tau_k and
+    F^k, read by both assemblies; an odd order adds the diagonal term at
+    level k // 2 - 1 itself."""
+    s = k // 2
+    return [(s + l - 2 + k % 2, s - l - 1) for l in range(1, s)]
+
+
 def tau_k_from_tower(k: int, ginv, d1, riem, gam, u: list, v: list) -> np.ndarray:
     """Assemble tau_k from tower value arrays (any trailing node shape)."""
     out = u[k - 1] - trace_R_sec_frame(ginv, riem, d1, u[k - 2], d1)
-    s = k // 2
-    pairs = [(s + l - 2, s - l - 1) for l in range(1, s)] if k % 2 == 0 else \
-        [(s + l - 1, s - l - 1) for l in range(1, s)]
-    for p, q in pairs:
+    for p, q in _tower_pairs(k):
         cd_p = covd_values(v[p], gam, d1, u[p])
         cd_q = covd_values(v[q], gam, d1, u[q])
         out = out - trace_R_frame_sec(ginv, riem, d1, cd_p, u[q])
         out = out + trace_R_sec_frame(ginv, riem, d1, u[p], cd_q)
     if k % 2 == 1:
-        cd = covd_values(v[s - 1], gam, d1, u[s - 1])
-        out = out - trace_R_frame_sec(ginv, riem, d1, cd, u[s - 1])
+        c = k // 2 - 1
+        cd = covd_values(v[c], gam, d1, u[c])
+        out = out - trace_R_frame_sec(ginv, riem, d1, cd, u[c])
     return out
 
 
@@ -341,16 +347,14 @@ def fk_literal_values(gmap: GridMap, k: int, u: list[np.ndarray], v: list[np.nda
 
     out = -a_top.copy()
     out -= np.einsum("ij...,abgd...,d...,gi...,bj...->a...", ginv, riem, u[k - 2], d1, d1)
-    s = k // 2
-    pairs = [(s + l - 2, s - l - 1) for l in range(1, s)] if k % 2 == 0 else \
-        [(s + l - 1, s - l - 1) for l in range(1, s)]
-    for p, q in pairs:
+    for p, q in _tower_pairs(k):
         out += term_R_uv(u[q], v[p]) + term_R_uv(u[p], v[q])
         out += np.einsum("ij...,abdth...,t...,d...,hi...,bj...->a...", ginv, e_t, u[p], u[q], d1, d1)
     if k % 2 == 1:
-        out += term_R_uv(u[s - 1], v[s - 1])
+        c = k // 2 - 1
+        out += term_R_uv(u[c], v[c])
         out += np.einsum("ij...,abgd...,gth...,t...,d...,hi...,bj...->a...",
-                         ginv, riem, gam, u[s - 1], u[s - 1], d1, d1)
+                         ginv, riem, gam, u[c], u[c], d1, d1)
     return out
 
 

@@ -2,9 +2,10 @@
 witnesses behind unique continuation.
 
 The reduced vector ``z`` stacks the tower variables (and, in the extended
-kind, the map and its differential; in the equator kind, the distance to the
-equator and the normal components).  By construction each block satisfies a
-second-order identity
+kind, the map and its differential; the equator kind is the normal component
+of every extended block, with the distance f = phi^n - pi/2 to the equator
+as its map row).  By construction each block satisfies a second-order
+identity
 
     lap z_block = F_block + linear corrections + (top row only) tau_k,
 
@@ -83,14 +84,13 @@ class ReducedVector:
 @dataclass
 class BlockRHS:
     """Right-hand-side blocks matching a reduced vector, plus the shared
-    linear commutator corrections and the top-row tension source."""
+    linear commutator corrections; ``residual`` adds the top row's tau_k
+    source itself."""
 
     kind: str
     k: int
-    names: list[str]
     blocks: list[np.ndarray]
     linear_corrections: list[np.ndarray]
-    tension_source: list[np.ndarray]
 
 
 def reduced_dimension(kind: str, k: int, m: int, n: int) -> int:
@@ -136,32 +136,26 @@ def build_reduced(gmap: GridMap, k: int, kind: str = "plain") -> ReducedVector:
 
 
 def _reduced_from_tower(gmap: GridMap, k: int, kind: str, tower: TensionTower) -> ReducedVector:
+    """The equator kind is the normal (last) component of every extended
+    block, with the map row shifted to f = phi^n - pi/2."""
+    if kind == "equator":
+        _equator_precheck(gmap)
     u = [sec.values for sec in tower.u]
     v = [vg.values for vg in tower.v]
     names: list[str] = []
     blocks: list[np.ndarray] = []
-    if kind == "extended":
+    if kind != "plain":
         names += ["phi", "dphi"]
         blocks += [gmap.values.copy(), dphi_values(gmap)]
-    if kind == "equator":
-        _equator_precheck(gmap)
-        f = gmap.values[-1] - np.pi / 2
-        df = dphi_values(gmap)[-1]
-        names += ["f", "df"]
-        blocks += [f[None], df]
-        for i in range(k - 1):
-            names.append(f"u{i}_n")
-            blocks.append(u[i][-1][None])
-            if i <= k - 3:
-                names.append(f"v{i}_n")
-                blocks.append(v[i][-1])
-        return ReducedVector(kind, k, names, blocks, gmap)
     for i in range(k - 1):
         names.append(f"u{i}")
         blocks.append(u[i])
         if i <= k - 3:
             names.append(f"v{i}")
             blocks.append(v[i])
+    if kind == "equator":
+        names = ["f", "df"] + [f"{name}_n" for name in names[2:]]
+        blocks = [blocks[0][-1:] - np.pi / 2] + [b[-1:] for b in blocks[1:]]
     return ReducedVector(kind, k, names, blocks, gmap)
 
 
@@ -190,23 +184,23 @@ def _lap_phi_identity(gmap: GridMap, tower: TensionTower) -> np.ndarray:
     return -tower.u[0].values + gamma_trace(gmap.plan.ginv, target_christoffel(gmap), dphi_values(gmap))
 
 
-def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = True) -> BlockRHS:
-    """The F-blocks of the second-order reduction, the shared linear
-    commutator corrections, and the top-row tension source.
+def build_rhs(gmap: GridMap, k: int, kind: str = "plain") -> BlockRHS:
+    """The F-blocks of the second-order reduction and the shared linear
+    commutator corrections; the equator kind is the normal (last) component
+    of every extended block.
 
     The differential rows and the commutator terms differentiate tower
     levels, lap phi and dphi through the derivative primitives of
-    ``fields``: closed forms in analytic_jet mode, stencils in grid_fd mode.
-    ``with_source=False`` skips the k-tension evaluation and leaves the
-    source blocks zero (used by witnesses that exclude it)."""
+    ``fields``: closed forms in analytic_jet mode, stencils in grid_fd mode."""
     if kind not in KINDS:
         raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
+    if kind == "equator":
+        _equator_precheck(gmap)
     tower = _tower_for_reduction(gmap, k)
     u = [sec.values for sec in tower.u]
     v = [vg.values for vg in tower.v]
     a = [sec.values for sec in tower.a]
     fk = fk_literal_values(gmap, k, u, v, top_a_term(gmap, tower).values)
-    tau = tau_k(gmap, k).values if with_source else np.zeros_like(u[0])
     flat = gmap.dom.is_flat_euclidean
 
     def diff_block(j: int) -> np.ndarray:
@@ -219,53 +213,45 @@ def build_rhs(gmap: GridMap, k: int, kind: str = "plain", with_source: bool = Tr
             return np.zeros_like(w)
         return _commutator_values(gmap, w, section_partials(gmap, w, w_exprs))
 
-    names: list[str] = []
     blocks: list[np.ndarray] = []
     lins: list[np.ndarray] = []
-    srcs: list[np.ndarray] = []
 
-    def push(name, block, lin=None, src=None):
-        names.append(name)
+    def push(block, lin=None):
         blocks.append(np.asarray(block))
         lins.append(np.zeros_like(blocks[-1]) if lin is None else np.asarray(lin))
-        srcs.append(np.zeros_like(blocks[-1]) if src is None else np.asarray(src))
 
-    lap_phi = _lap_phi_identity(gmap, tower)
-    dphi = differential(gmap)
-    d_lap_phi = map_laplacian_partials(gmap, lap_phi)
-
-    if kind == "equator":
-        _equator_precheck(gmap)
-        push("F_f", lap_phi[-1][None])
-        push("F_df", d_lap_phi[-1], lin=commutator(dphi.values, dphi.exprs)[-1])
-        for j in range(k - 2):
-            push(f"F_u{j + 1}", (u[j + 1] - a[j])[-1][None])
-            push(f"F_v{j}", diff_block(j)[-1], lin=commutator(v[j], tower.v[j].exprs)[-1])
-        push("F_top", fk[-1][None], src=tau[-1][None])
-        return BlockRHS(kind, k, names, blocks, lins, srcs)
-
-    if kind == "extended":
-        push("F_phi", lap_phi)
-        push("F_dphi", d_lap_phi, lin=commutator(dphi.values, dphi.exprs))
+    if kind != "plain":
+        dphi = differential(gmap)
+        lap_phi = _lap_phi_identity(gmap, tower)
+        push(lap_phi)
+        push(map_laplacian_partials(gmap, lap_phi), commutator(dphi.values, dphi.exprs))
     for j in range(k - 2):
-        push(f"F_u{j + 1}", u[j + 1] - a[j])
-        push(f"F_v{j}", diff_block(j), lin=commutator(v[j], tower.v[j].exprs))
-    push("F_top", fk, src=tau)
-    return BlockRHS(kind, k, names, blocks, lins, srcs)
+        push(u[j + 1] - a[j])
+        push(diff_block(j), commutator(v[j], tower.v[j].exprs))
+    push(fk)
+    if kind == "equator":
+        blocks = [b[-1:] for b in blocks]
+        lins = [lin[-1:] for lin in lins]
+    return BlockRHS(kind, k, blocks, lins)
 
 
 def residual(gmap: GridMap, k: int, kind: str = "plain") -> np.ndarray:
     """Node-wise max-norm of  lap z - (F + linear corrections + tau_k source)
-    with the grid Laplacian on the left; exactly zero for harmonic maps and
-    O(h^p) for analytic maps (p the stencil order)."""
+    with the grid Laplacian on the left; the source tau_k enters the top row
+    only.  Exactly zero for harmonic maps and O(h^p) for analytic maps (p the
+    stencil order)."""
     if kind == "extended":
         raise ConfigurationError(
             "extended-kind residual is a two-map identity; use pair_difference_bound")
     z = build_reduced(gmap, k, kind)
     rhs = build_rhs(gmap, k, kind)
+    tau = tau_k(gmap, k).values
+    source = tau[-1:] if kind == "equator" else tau
     out = np.zeros(gmap.grid_shape)
-    for zb, fb, lin, src in zip(z.blocks, rhs.blocks, rhs.linear_corrections, rhs.tension_source):
-        gap = grid_laplacians(gmap, zb) - (fb + lin + src)
+    top = len(z.blocks) - 1
+    for b, (zb, fb, lin) in enumerate(zip(z.blocks, rhs.blocks, rhs.linear_corrections)):
+        want = fb + lin + source if b == top else fb + lin
+        gap = grid_laplacians(gmap, zb) - want
         flat = np.abs(gap).reshape((-1,) + gmap.grid_shape)
         out = np.maximum(out, np.max(flat, axis=0))
     return out
@@ -445,7 +431,7 @@ def equator_bound(gmap: GridMap, k: int, window) -> EquatorReport:
                  for name, b in zip(z.names, z.blocks)}
     max_on_w = max(block_max.values())
 
-    rhs = build_rhs(gmap, k, "equator", with_source=False)
+    rhs = build_rhs(gmap, k, "equator")
     num = np.zeros(gs)
     for fb, lin in zip(rhs.blocks, rhs.linear_corrections):
         num = np.maximum(num, _abs_block(fb + lin, gs))

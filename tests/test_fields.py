@@ -447,7 +447,7 @@ class _FreshPlan:
 
     @property
     def mesh(self):
-        return np.meshgrid(*fl._axes_any(self.dom, self.grid_shape), indexing="ij")
+        return np.meshgrid(*self.dom.axes(self.grid_shape), indexing="ij")
 
     @property
     def ginv(self):
@@ -476,7 +476,7 @@ class _FreshPlan:
     @property
     def weights(self):
         dom, shape = self.dom, self.grid_shape
-        g = dom.metric(*np.meshgrid(*geo.grid_axes(dom, shape), indexing="ij"))
+        g = dom.metric(*np.meshgrid(*dom.axes(shape), indexing="ij"))
         det = np.linalg.det(np.moveaxis(g.reshape((dom.dim, dom.dim, -1)), -1, 0)).reshape(shape)
         cell = float(np.prod([(hi - lo) / n for lo, hi, n in zip(dom.chart.lo, dom.chart.hi, shape)]))
         return np.sqrt(det) * cell
@@ -489,7 +489,7 @@ def _uncached_dphi(gm):
 def _uncached_lap_phi(gm):
     if gm.eval_mode == "analytic_jet":
         return gm.eval_exprs(gm.engine.lap_phi)
-    return fl._laplace_beltrami(gm, gm.periodic_values, gm.winding)
+    return fl.grid_laplacians(gm, gm.periodic_values, gm.winding)
 
 
 def _uncached_target_christoffel(gm):
@@ -597,7 +597,7 @@ def test_grid_and_subsample_get_their_own_plans(dom_t1, tgt_s2):
 
 
 def test_grid_map_values_are_a_read_only_copy(dom_t1, tgt_s2):
-    x = geo.grid_axes(dom_t1, (16,))[0]
+    x = dom_t1.axes((16,))[0]
     arr = np.stack([x, np.pi / 2 + np.sin(x) / 4])
     gm = fl.GridMap.from_values(dom_t1, tgt_s2, arr, winding=[[1.0], [0.0]])
     assert arr.flags.writeable

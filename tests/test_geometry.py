@@ -255,6 +255,25 @@ def test_laplacian_grid_too_coarse(dom_t1):
         _lap(np.zeros(4), dom_t1, order=6)
 
 
+def test_domain_axes_periodic_omit_the_endpoint(dom_t1):
+    # a torus axis has n nodes spaced by L / n: the endpoint duplicates node 0
+    (axis,) = dom_t1.axes((8,))
+    assert np.array_equal(axis, 2 * np.pi * np.arange(8) / 8)
+    torus = geo.flat_torus(2, period=(1.0, 2.0))
+    xs, ys = torus.axes((4, 5))
+    assert np.array_equal(xs, [0.0, 0.25, 0.5, 0.75])
+    assert np.array_equal(ys, np.arange(5) * 0.4)
+
+
+def test_domain_axes_box_keep_both_endpoints(dom_box1):
+    (axis,) = dom_box1.axes((5,))
+    assert np.array_equal(axis, [0.0, 0.25, 0.5, 0.75, 1.0])
+    cap = geo.sphere_cap_domain(2, sp.pi / 3)
+    xs, ys = cap.axes((3, 5))
+    assert np.array_equal(xs, [-1.0, 0.0, 1.0])
+    assert ys[0] == -1.0 and ys[-1] == 1.0 and len(ys) == 5
+
+
 def test_cap_domain_ricci_is_einstein():
     # unit round S^2 in the stereographic chart: Ric = (dim - 1) g
     dom = geo.sphere_cap_domain(2, np.pi / 2)
@@ -269,7 +288,7 @@ def test_polar_sphere_ricci_is_einstein_near_the_pole(dim):
     # Ric = (dim - 1) h entrywise; an uncombined trigonometric entry
     # (4 sin^2 s - 4 cos^2 s + 4) loses digits as s -> 0
     model = geo.round_sphere_polar(dim)
-    ricci = geo.lambdify_tensor(model.coords, model._sym.ricci_exprs)
+    ricci = geo.lambdify_tensor(model.coords, model.ricci_exprs)
     for s in (1e-2, 1e-3, 1e-4):
         pts = [0.3, -0.2][: dim - 1] + [s]
         want = (dim - 1) * model.metric(*pts)
@@ -343,12 +362,12 @@ def test_model_builds_never_call_simplify(monkeypatch):
     for tgt in targets:
         for name in ("christoffel_exprs", "s_tensor_exprs", "riemann_exprs", "nabla_riemann_exprs"):
             getattr(tgt, name)
-        tgt._sym.ricci_exprs
+        tgt.ricci_exprs
     for m in (1, 2, 3):
         dom = geo.sphere_cap_domain(m, sp.pi / 2)
-        dom.christoffel_exprs, dom.ricci_exprs, dom._sym.metric_inv_jet_exprs
+        dom.christoffel_exprs, dom.ricci_exprs, dom.metric_inv_jet_exprs
     for d, tgt in zip((2, 3, 4), targets):
         *w, s = tgt.coords
         diag = sp.sin(s) ** -2 if d == 2 else sp.expand((1 + sp.Add(*[c ** 2 for c in w])) ** 2) / (4 * sp.sin(s) ** 2)
         expected = [[diag if i == j < d - 1 else sp.S(int(i == j)) for j in range(d)] for i in range(d)]
-        assert sp.srepr(tgt._sym.metric_inv_exprs) == sp.srepr(expected)
+        assert sp.srepr(tgt.metric_inv_exprs) == sp.srepr(expected)

@@ -57,7 +57,7 @@ def test_latitude_top_block_matches_jet_oracle(map_latitude):
     # the literal F^3 of the reduced system against the covariant route
     # F^3 = lap u_1 - tau_3 = (u_2 - A_2) - tau_3
     gm = map_latitude
-    rhs = red.build_rhs(gm, 3, "plain", with_source=False)
+    rhs = red.build_rhs(gm, 3, "plain")
     tower = pt.build_tower(gm, 3)
     oracle = (tower.u[2].values - tower.a[1].values) - pt.tau_k(gm, 3).values
     assert np.max(np.abs(rhs.blocks[-1] - oracle)) <= 1e-8
@@ -227,6 +227,24 @@ def test_equator_ratio_refinement_stable(dom_t1, tgt_s2, map_window_equatorial):
     finer = fl.GridMap.from_exprs(dom_t1, tgt_s2, (256,), map_window_equatorial.exprs)
     rep2 = red.equator_bound(finer, 3, [(0, 80)])
     assert abs(rep2.off_window.ratio - rep1.off_window.ratio) <= 0.1 * rep1.off_window.ratio
+
+
+def test_equator_blocks_are_normal_components_of_extended(map_window_equatorial):
+    # z and F of the equator kind are the last rows of the extended blocks,
+    # the map row shifted by pi/2
+    gm = map_window_equatorial
+    ext = red.build_reduced(gm, 3, "extended")
+    eq = red.build_reduced(gm, 3, "equator")
+    assert eq.names == ["f", "df", "u0_n", "v0_n", "u1_n"]
+    assert np.array_equal(eq.blocks[0], gm.values[-1:] - np.pi / 2)
+    assert np.array_equal(eq.blocks[0], ext.blocks[0][-1:] - np.pi / 2)
+    for zb, xb in zip(eq.blocks[1:], ext.blocks[1:]):
+        assert np.array_equal(zb, xb[-1:])
+    f_ext = red.build_rhs(gm, 3, "extended")
+    f_eq = red.build_rhs(gm, 3, "equator")
+    assert len(f_eq.blocks) == len(eq.blocks)
+    for fb, xb, lin, xlin in zip(f_eq.blocks, f_ext.blocks, f_eq.linear_corrections, f_ext.linear_corrections):
+        assert np.array_equal(fb, xb[-1:]) and np.array_equal(lin, xlin[-1:])
 
 
 def test_equator_precondition_error(dom_t1, tgt_s2):
