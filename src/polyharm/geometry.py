@@ -24,6 +24,8 @@ Conventions
 """
 from __future__ import annotations
 
+import builtins
+import dis
 import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -77,6 +79,18 @@ def _nesting_shape(obj) -> tuple[int, ...]:
     return ()
 
 
+def _unresolved_globals(fn: Callable) -> list[str]:
+    """The global names ``fn`` loads that neither its globals nor builtins
+    define.  co_names also holds attribute names (``logical_and.reduce`` in
+    a printed Piecewise), so a candidate counts only if the bytecode loads it
+    as a global."""
+    code = fn.__code__
+    names = {n for n in code.co_names if n not in fn.__globals__ and not hasattr(builtins, n)}
+    if names:
+        names &= {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
+    return sorted(names)
+
+
 def lambdify_tensor(coords: Sequence[sp.Symbol], tensor) -> Callable:
     """Lambdify nested lists or tuples of sympy expressions into a vectorized
     callable; the one evaluator of model tensors, map components and engine
@@ -85,11 +99,25 @@ def lambdify_tensor(coords: Sequence[sp.Symbol], tensor) -> Callable:
     The callable takes ``len(coords)`` broadcastable arrays and returns a
     fresh float array shaped like the nesting followed by the node shape
     (an empty nesting gives an empty array).
+
+    ``docstring_limit=0`` keeps lambdify from rendering the expressions into
+    the generated function's docstring, and the numpy module object (not the
+    string ``"numpy"``) spares the ``from numpy import *`` that loads numpy's
+    f2py, ma, polynomial and fft; the generated code is the same either way.
+    An expression calling a function numpy lacks (``besselj``, an undefined
+    ``f``) or that has no numpy form (``Integral``) raises CapabilityError
+    here, not a NameError at the first call.
     """
     flat: list[sp.Expr] = []
     _flatten(tensor, flat)
     shape = _nesting_shape(tensor)
-    fn = sp.lambdify(list(coords), flat, modules="numpy", cse=True)
+    try:
+        fn = sp.lambdify(list(coords), flat, modules=[np], cse=True, docstring_limit=0)
+    except NotImplementedError as exc:  # sympy's PrintMethodNotImplementedError
+        raise CapabilityError(f"no numpy evaluator: {str(exc).splitlines()[0]}") from exc
+    missing = _unresolved_globals(fn)
+    if missing:
+        raise CapabilityError(f"no numpy evaluator for {', '.join(missing)}")
 
     def call(*points: np.ndarray) -> np.ndarray:
         pts = [np.asarray(p, dtype=float) for p in points]

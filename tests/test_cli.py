@@ -304,6 +304,22 @@ def test_nonfinite_artifact_exits_5_without_writing(tmp_path):
     assert not out.exists()
 
 
+def test_function_without_numpy_form_exits_3_without_writing(tmp_path, capsys):
+    # besselj has no numpy evaluator: the map's node evaluator is refused
+    # when it is built, not with a NameError from the generated code
+    spec = {"command": "tau-k", "order": 2,
+            "domain": {"kind": "flat_torus", "dim": 1},
+            "target": {"kind": "round_sphere_polar", "dim": 2},
+            "map": {"exprs": ["x1", "pi/2 + besselj(0, x1)/5"]}, "grid_shape": [16]}
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(spec))
+    out = tmp_path / "tau.txt"
+    assert cli.main(["tau-k", "--config", str(cfgf), "--out", str(out)]) == 3
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error_type"] == "CapabilityError" and "besselj" in record["message"]
+
+
 def test_removed_config_keys_are_unknown(tmp_path):
     # no code reads these keys, so a config that carries one, even at its
     # old default, is rejected as carrying an unknown key (exit code 2)

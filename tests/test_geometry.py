@@ -1,5 +1,10 @@
 """Chart-model invariants: metric algebra, curvature conventions, derived
 tensors and the grid Laplace-Beltrami operator."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -347,6 +352,55 @@ def test_lambdify_tensor_matches_stacked_broadcasts(dim):
     for exprs in (model.christoffel_exprs, model.s_tensor_exprs, model.riemann_exprs):
         got = geo.lambdify_tensor(model.coords, exprs)(*pts)
         assert np.array_equal(got, _stacked_broadcasts(model.coords, exprs)(*pts))
+
+
+def test_evaluator_builds_never_render_expressions(monkeypatch):
+    # lambdify's docstring would print the whole expression list; only the
+    # printer's own symbol names may go through str or repr
+    model = geo.round_sphere_polar(3)
+    exprs = [model.christoffel_exprs, model.s_tensor_exprs, model.riemann_exprs]
+
+    def refuse(self):
+        if not isinstance(self, sp.Symbol):
+            raise AssertionError(f"rendered a {type(self).__name__}")
+        return self.name
+
+    monkeypatch.setattr(sp.Basic, "__str__", refuse)
+    monkeypatch.setattr(sp.Basic, "__repr__", refuse)
+    pts = _random_sphere_points(6, 3)
+    for tensor in exprs:
+        assert np.all(np.isfinite(geo.lambdify_tensor(model.coords, tensor)(*pts)))
+
+
+def test_node_evaluators_leave_numpy_submodules_unloaded():
+    # lambdify(modules="numpy") runs `from numpy import *`, which loads
+    # numpy.f2py and numpy.ma; the evaluators take numpy's namespace instead
+    script = ("import sys, sympy as sp; from polyharm import geometry as geo; "
+              "from polyharm.fields import GridMap; from polyharm.polytension import tau_k; "
+              "dom = geo.flat_torus(1); x, = dom.coords; "
+              "gm = GridMap.from_exprs(dom, geo.round_sphere_polar(2), (16,), "
+              "[x, sp.pi / 2 + 2 * sp.sin(x) / 5]); tau_k(gm, 2); "
+              "print(sorted(m for m in ('numpy.f2py', 'numpy.ma') if m in sys.modules))")
+    src = str(pathlib.Path(geo.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("expr", ["besselj(0, x1)", "f(x1)", "Integral(sin(x1*t), (t, 0, 1))"])
+def test_evaluator_rejects_functions_without_numpy_form(expr):
+    x1 = sp.Symbol("x1", real=True)
+    with pytest.raises(CapabilityError, match="no numpy evaluator"):
+        geo.lambdify_tensor((x1,), [x1, sp.sympify(expr, locals={"x1": x1})])
+
+
+def test_evaluator_accepts_attribute_calls():
+    # a Piecewise on an And prints as logical_and.reduce(...): `reduce` is an
+    # attribute name of the generated code, not a missing function
+    x1 = sp.Symbol("x1", real=True)
+    bump = sp.Piecewise((x1, (x1 > 1) & (x1 < 2)), (0, True))
+    got = geo.lambdify_tensor((x1,), [bump])(np.array([0.5, 1.5, 2.5]))
+    assert np.array_equal(got, [[0.0, 1.5, 0.0]])
 
 
 def test_model_builds_never_call_simplify(monkeypatch):
