@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from . import reduction as red
 from . import variational as va
-from .config import COMMANDS, ExperimentConfig, build_domain, build_map, build_target, validate
+from .config import COMMANDS, ExperimentConfig, build_domain, build_map, build_target, parse_exprs, validate
 from .errors import (
     CapabilityError,
     ChartDomainError,
@@ -51,11 +51,7 @@ EXIT_CODES = {
 def _node_records(gmap, values: np.ndarray):
     """(node index, component, value) rows in C order."""
     flat = values.reshape(values.shape[0], -1)
-    rows = []
-    for idx in range(flat.shape[1]):
-        for comp in range(flat.shape[0]):
-            rows.append((idx, comp, flat[comp, idx]))
-    return rows
+    return [(idx, comp, flat[comp, idx]) for idx in range(flat.shape[1]) for comp in range(flat.shape[0])]
 
 
 def _require_finite(records: list[tuple], summary: dict) -> None:
@@ -70,8 +66,8 @@ def _require_finite(records: list[tuple], summary: dict) -> None:
             raise NumericalContractError(f"non-finite value {v} in artifact summary {key!r}")
 
 
-def _order_of(cfg: ExperimentConfig):
-    return cfg.order if cfg.order == "es4" else int(cfg.order)
+def _order_of(order):
+    return order if order == "es4" else int(order)
 
 
 def run(cfg: ExperimentConfig) -> ResultArtifact:
@@ -89,8 +85,7 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
 
     if command == "latitude-search":
         m = int(cfg.latitude["m"])
-        order = cfg.latitude.get("order", cfg.order)
-        order = order if order == "es4" else int(order)
+        order = _order_of(cfg.latitude.get("order", cfg.order))
         roots = va.find_k_harmonic_latitude(m, order)
         columns = ["index", "alpha", "reduction_value"]
         records = [(i, r, va.latitude_reduction(m, order, r)) for i, r in enumerate(roots)]
@@ -138,8 +133,8 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
             records = [(str(rep.k), rep.value)]
             summary = {"energy": rep.value, "quadrature": rep.quadrature}
         elif command == "variation-check":
-            disc = va.first_variation_check(gmap, cfg.variation["exprs"], _order_of(cfg),
-                                            t=float(cfg.variation.get("t", 1e-5)))
+            disc = va.first_variation_check(gmap, parse_exprs(cfg.variation["exprs"], dom.coords),
+                                            _order_of(cfg.order), t=float(cfg.variation.get("t", 1e-5)))
             columns = ["order", "discrepancy"]
             records = [(str(cfg.order), disc)]
             summary = {"discrepancy": disc}
@@ -171,7 +166,7 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
                 "off_window_masked_fraction": rep.off_window.masked_fraction,
             }
         elif command == "flow":
-            res = va.gradient_flow(gmap, _order_of(cfg), float(cfg.flow["dt"]),
+            res = va.gradient_flow(gmap, _order_of(cfg.order), float(cfg.flow["dt"]),
                                    int(cfg.flow["steps"]))
             columns = ["step", "energy", "tau_norm"]
             records = list(res.records)

@@ -3,19 +3,13 @@
 The engine keeps sympy expressions in the domain coordinates for the leaves
 of one map and for its tension tower: the target-model tensors composed
 with the map, the differential and its second partials, lap phi, the
-tension field and the tower levels with their A-terms and partials.  The
-other closed forms that are differentiated again (the second fundamental
-form, whose partials the Weitzenboeck defect reads, and Omega_0 with the
-Leibniz expansion of covd Omega_0, which the two lapbar Omega_0 paths
-differentiate) are built by the node-wise kernels of ``fields`` and
-``polytension`` applied to these leaves as sympy object arrays.
-Everything assembled without differentiating it again (both routes to
-tau_k, covariant derivatives, section Laplacians, codifferentials, Omega_1,
-xi_1 and hat tau_4, the Weitzenboeck defect, the reduced-system blocks)
-comes from evaluated leaves through the same kernels, the ones the
-``grid_fd`` mode runs.  Derivatives are symbolic,
-hence exact; grids only enter at evaluation time through cached
-``geometry.lambdify_tensor`` callables.
+tension field and the tower levels with their A-terms and partials.  Other
+closed forms that are differentiated again (the second fundamental form,
+Omega_0 and the Leibniz expansion of covd Omega_0) are the node-wise kernels
+applied to these leaves as sympy object arrays; everything else comes from
+evaluated leaves through the kernels the ``grid_fd`` mode runs.  Grids only
+enter at evaluation time through cached ``geometry.lambdify_tensor``
+callables.
 
 Target-model tensors are computed once per model in target coordinates and
 composed with the map expression here.  On purely rational data (e.g. the

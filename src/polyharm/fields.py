@@ -13,10 +13,8 @@ of the second fundamental form): ``analytic_jet`` differentiates closed forms
 and evaluates them on the grid, ``grid_fd`` applies stencils.  Every operator
 above them has one body over the node-wise kernels; only ``tension`` keeps
 its closed form in ``analytic_jet`` mode, because the tower differentiates
-it again.  The kernels also take sympy object arrays: on the engine's
-leaves they build the other closed forms that ``analytic_jet``
-differentiates again, so the second fundamental form here and Omega_0 in
-``polytension`` have one implementation each.
+it again.  On the engine's sympy leaves the kernels build the other closed
+forms differentiated again (the second fundamental form, Omega_0).
 
 Every operation is node-wise (up to a stencil halo).  What does not change
 is evaluated once and kept read-only: a :class:`GridPlan` holds the domain

@@ -79,35 +79,32 @@ def _nesting_shape(obj) -> tuple[int, ...]:
     return ()
 
 
-def _unresolved_globals(fn: Callable) -> list[str]:
-    """The global names ``fn`` loads that neither its globals nor builtins
-    define.  co_names also holds attribute names (``logical_and.reduce`` in
-    a printed Piecewise), so a candidate counts only if the bytecode loads it
-    as a global."""
-    code = fn.__code__
-    names = {n for n in code.co_names if n not in fn.__globals__ and not hasattr(builtins, n)}
+def _unusable_globals(fn: Callable) -> list[str]:
+    """The global names ``fn`` loads that are undefined or bound to the
+    scalar ``math`` module (``erf``, ``gamma``, ``lgamma`` reject arrays).
+    co_names also holds attribute names (``logical_and.reduce``), so a
+    candidate counts only if the bytecode loads it as a global."""
+    code, glob = fn.__code__, fn.__globals__
+    names = {n for n in code.co_names
+             if (n not in glob and not hasattr(builtins, n))
+             or getattr(glob.get(n), "__module__", None) == "math"}
     if names:
         names &= {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
     return sorted(names)
 
 
 def lambdify_tensor(coords: Sequence[sp.Symbol], tensor) -> Callable:
-    """Lambdify nested lists or tuples of sympy expressions into a vectorized
-    callable; the one evaluator of model tensors, map components and engine
-    expressions.
+    """The one evaluator of model tensors, map components and engine
+    expressions: a callable of ``len(coords)`` broadcastable arrays that
+    returns a fresh float array shaped like the nesting of ``tensor``
+    followed by the node shape.
 
-    The callable takes ``len(coords)`` broadcastable arrays and returns a
-    fresh float array shaped like the nesting followed by the node shape
-    (an empty nesting gives an empty array).
-
-    ``docstring_limit=0`` keeps lambdify from rendering the expressions into
-    the generated function's docstring, and the numpy module object (not the
-    string ``"numpy"``) spares the ``from numpy import *`` that loads numpy's
-    f2py, ma, polynomial and fft; the generated code is the same either way.
-    An expression calling a function numpy lacks (``besselj``, an undefined
-    ``f``) or that has no numpy form (``Integral``) raises CapabilityError
-    here, not a NameError at the first call.
-    """
+    ``docstring_limit=0`` skips rendering the expressions into a docstring,
+    and the numpy module object (not ``"numpy"``) spares a star import of
+    numpy's submodules; the generated code is the same.  An expression
+    without a numpy form (``besselj``, an undefined ``f``, the scalar
+    ``math.erf``, ``Integral``) raises CapabilityError here, not at the
+    first call."""
     flat: list[sp.Expr] = []
     _flatten(tensor, flat)
     shape = _nesting_shape(tensor)
@@ -115,7 +112,7 @@ def lambdify_tensor(coords: Sequence[sp.Symbol], tensor) -> Callable:
         fn = sp.lambdify(list(coords), flat, modules=[np], cse=True, docstring_limit=0)
     except NotImplementedError as exc:  # sympy's PrintMethodNotImplementedError
         raise CapabilityError(f"no numpy evaluator: {str(exc).splitlines()[0]}") from exc
-    missing = _unresolved_globals(fn)
+    missing = _unusable_globals(fn)
     if missing:
         raise CapabilityError(f"no numpy evaluator for {', '.join(missing)}")
 
@@ -130,6 +127,11 @@ def lambdify_tensor(coords: Sequence[sp.Symbol], tensor) -> Callable:
         return out.reshape(shape + node_shape) if shape else out[0]
 
     return call
+
+
+def _evaluator(exprs_attr: str) -> functools.cached_property:
+    """A model's evaluator of its expressions ``exprs_attr``, built on first use."""
+    return functools.cached_property(lambda self: lambdify_tensor(self.coords, getattr(self, exprs_attr)))
 
 
 def christoffel_from_metric(g, ginv, coords):
@@ -248,29 +250,12 @@ class ChartModel:
 
     # -- numeric evaluators (vectorized over trailing node axes) -------------
 
-    @functools.cached_property
-    def metric(self) -> Callable:
-        return lambdify_tensor(self.coords, self.metric_exprs)
-
-    @functools.cached_property
-    def metric_inv(self) -> Callable:
-        return lambdify_tensor(self.coords, self.metric_inv_exprs)
-
-    @functools.cached_property
-    def christoffel(self) -> Callable:
-        return lambdify_tensor(self.coords, self.christoffel_exprs)
-
-    @functools.cached_property
-    def christoffel_jet(self) -> Callable:
-        return lambdify_tensor(self.coords, self.christoffel_jet_exprs)
-
-    @functools.cached_property
-    def ricci(self) -> Callable:
-        return lambdify_tensor(self.coords, self.ricci_exprs)
-
-    @functools.cached_property
-    def metric_inv_jet(self) -> Callable:
-        return lambdify_tensor(self.coords, self.metric_inv_jet_exprs)
+    metric = _evaluator("metric_exprs")
+    metric_inv = _evaluator("metric_inv_exprs")
+    christoffel = _evaluator("christoffel_exprs")
+    christoffel_jet = _evaluator("christoffel_jet_exprs")
+    ricci = _evaluator("ricci_exprs")
+    metric_inv_jet = _evaluator("metric_inv_jet_exprs")
 
 
 class DomainModel(ChartModel):
@@ -458,25 +443,11 @@ class TargetModel(ChartModel):
 
     # -- numeric evaluators --------------------------------------------------
 
-    @functools.cached_property
-    def riemann(self):
-        return lambdify_tensor(self.coords, self.riemann_exprs)
-
-    @functools.cached_property
-    def nabla_riemann(self):
-        return lambdify_tensor(self.coords, self.nabla_riemann_exprs)
-
-    @functools.cached_property
-    def s_tensor(self):
-        return lambdify_tensor(self.coords, self.s_tensor_exprs)
-
-    @functools.cached_property
-    def c_tensor(self):
-        return lambdify_tensor(self.coords, self.c_tensor_exprs)
-
-    @functools.cached_property
-    def e_tensor(self):
-        return lambdify_tensor(self.coords, self.e_tensor_exprs)
+    riemann = _evaluator("riemann_exprs")
+    nabla_riemann = _evaluator("nabla_riemann_exprs")
+    s_tensor = _evaluator("s_tensor_exprs")
+    c_tensor = _evaluator("c_tensor_exprs")
+    e_tensor = _evaluator("e_tensor_exprs")
 
     @property
     def is_curvature_free(self) -> bool:

@@ -1,39 +1,32 @@
 """The tension tower and the higher-order tension fields.
 
-The tower realizes the recursion ``u_{i+1} = lap u_i + A_{i+1}`` with
-``A_{i+1} = A(u_i, du_i)``; ``u_i`` holds the components of the i-th iterated
-section Laplacian of the tension field.  Both evaluation modes build it with
-the same recursion and differ only in how they differentiate: closed-form
-levels in ``analytic_jet`` mode, stencils in ``grid_fd`` mode.  On top of
-the tower the order-k tension fields are assembled twice, by one numeric
-kernel each for both modes: once from the abstract recursion with covariant
-derivatives and curvature traces (``tau_k_from_tower``, behind ``tau_k``)
-and once from the literal coordinate expansion lap u_{k-2} - F^k with the
-v-variables and the E-tensor (``fk_literal_values``, behind
-``tau_k_literal`` and the reduced right-hand sides).  The two routes agree
-node-wise and serve as each other's oracle.
+The tower realizes ``u_{i+1} = lap u_i + A(u_i, du_i)``, u_i the i-th
+iterated section Laplacian of the tension field.  ``analytic_jet`` maps
+build closed-form levels; every numeric caller (``grid_fd`` maps and the
+equivariant latitude point) runs the one loop ``tower_values`` with its own
+derivative primitives.  On top of the tower tau_k is assembled twice, by one
+kernel each for both modes: the abstract recursion with covariant
+derivatives and curvature traces (``tau_k_from_tower``) and the literal
+expansion lap u_{k-2} - F^k with the v-variables and the E-tensor
+(``fk_literal_values``); the two routes are each other's oracle.
 
-Fourth-order curvature corrections: ``xi_1``, the codifferential expansion
-of ``Omega_1``, the trace term and the assembly of ``hat tau_4`` are one
-node-wise kernel, ``hat_tau4_values``, shared by closed-form maps (fed with
-evaluated leaves) and the pointwise latitude reduction.  ``Omega_0``,
-``Omega_1`` and the Leibniz expansion of ``covd Omega_0`` are one kernel
-each (``omega0_values``, ``omega1_values``, ``covd_omega0_values``).  The
-two evaluation paths for ``lapbar Omega_0`` (``lapbar_omega0_paths``: the
-rough Laplacian of ``Omega_0`` versus the codifferential of the expansion)
-differentiate their closed forms again, so there the kernels run on the
-engine's sympy leaves as object arrays; ``es4_terms`` reads every kernel on
-evaluated arrays.  Together they build ``hat tau_4`` and the ES-4 tension
-field.
+The ES-4 field has one body over node leaves, ``es4_values`` (T, Omega_0,
+xi_1 and hat tau_4 through the kernels ``curv_2form_values``,
+``omega0_values`` and ``hat_tau4_values``), whose caller supplies lapbar
+Omega_0.  On closed-form maps that is path (a) of ``lapbar_omega0_paths``,
+checked against the codifferential of the Leibniz expansion of covd Omega_0
+(``covd_omega0_values``, the kernels run on the engine's sympy leaves); on
+grid maps the stencil rough Laplacian, pinned by convergence tests.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import stencils
-from .errors import CapabilityError, ConfigurationError, NumericalContractError
+from .errors import ConfigurationError, NumericalContractError
 from .fields import (
     BundleSection,
     GridMap,
@@ -72,6 +65,9 @@ __all__ = [
     "lapbar_omega0_paths",
     "hat_tau4",
     "hat_tau4_values",
+    "es4_values",
+    "tower_values",
+    "check_tower_resolution",
     "omega0_values",
     "omega1_values",
     "covd_omega0_values",
@@ -96,10 +92,6 @@ class TensionTower:
     v: list[VGrid]
     a: list[BundleSection]
     richardson_error: float | None = None
-
-    @property
-    def base(self) -> GridMap:
-        return self.u[0].base
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +174,24 @@ def a_term(u_prev: BundleSection, gmap: GridMap) -> BundleSection:
 
 def top_a_term(gmap: GridMap, tower: TensionTower) -> BundleSection:
     """A_k = A(u_{k-1}, du_{k-1}) above the top level of an order-k tower.
-
-    analytic_jet mode evaluates the engine's closed form A_k, the one inside
-    the evaluated level u_k that tau_{k+1} reads.  The reduced system pairs
-    the two in its top row (lap u_{k-1} = F^{k+1} + tau_{k+1}), and
-    ``geometry.lambdify_tensor`` misevaluates deep closed forms (README
-    "Known defect"): on the circle map of
-    ``test_residual_decays_at_stencil_order[4]`` the closed-form A_3 is off by
-    up to 1.1e-2 where the A-term kernel is exact to 2e-15, so a kernel A_k
-    would break the identity by the evaluator's error.  grid_fd mode applies
-    the kernel."""
+    analytic_jet mode evaluates the closed form A_k inside the level u_k that
+    tau_{k+1} reads, so the reduced system's top row pairs two values with
+    the same evaluator error (README "Known defect"; a kernel A_k is off by
+    up to 1.1e-2 from it on a circle map).  grid_fd mode applies the kernel."""
     if gmap.eval_mode == "analytic_jet":
         exprs = gmap.engine.a_of_level(tower.k)
         return BundleSection(gmap, gmap.eval_exprs(exprs), exprs=exprs)
     return a_term(tower.u[-1], gmap)
 
 
-def check_tower_resolution(gmap: GridMap, k: int) -> None:
-    depth = k - 1
-    if gmap.eval_mode == "grid_fd" and min(gmap.grid_shape) < MIN_NODES_PER_LEVEL * max(depth, 1):
+def check_tower_resolution(eval_mode: str, grid_shape, depth: int) -> None:
+    """The resolution policy of ``build_tower`` and ``config.validate``: a
+    grid_fd tower ``depth`` levels above tau needs ``MIN_NODES_PER_LEVEL``
+    nodes per axis and level (at least one level)."""
+    need = MIN_NODES_PER_LEVEL * max(depth, 1)
+    if eval_mode == "grid_fd" and min(grid_shape) < need:
         raise ConfigurationError(
-            f"grid_fd tower of depth {depth} needs >= {MIN_NODES_PER_LEVEL * depth} nodes per axis, "
-            f"got {min(gmap.grid_shape)}"
-        )
+            f"grid_fd tower of depth {depth} needs >= {need} nodes per axis, got {min(grid_shape)}")
 
 
 def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower:
@@ -216,7 +203,7 @@ def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower
     """
     if k < 2:
         raise ConfigurationError("tower order must be >= 2")
-    check_tower_resolution(gmap, k)
+    check_tower_resolution(gmap.eval_mode, gmap.grid_shape, k - 1)
     if gmap.eval_mode == "analytic_jet":
         u_exprs, v_exprs, a_exprs = gmap.engine.tower(k - 1)
         u = [BundleSection(gmap, gmap.eval_exprs(e), exprs=e) for e in u_exprs]
@@ -229,19 +216,25 @@ def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower
     return tower
 
 
-def _build_tower_fd(gmap: GridMap, k: int) -> TensionTower:
-    data = a_term_data(gmap)
-    u = [tension(gmap)]
-    v: list[VGrid] = []
-    a: list[BundleSection] = []
+def tower_values(u0, data, partials, laplacians, k: int) -> tuple[list, list, list]:
+    """Node arrays u_0 .. u_{k-1}, v_0 .. v_{k-2} and A_1 .. A_{k-1}; ``data``
+    is what the A-term reads after its two slots, ``partials`` and
+    ``laplacians`` differentiate node values (stencils, or zeros)."""
+    u, v, a = [u0], [], []
     for _ in range(k - 1):
-        prev = u[-1].values
-        xi = grid_partials(gmap, prev)
-        a_vals = a_term_values(prev, xi, *data)
-        v.append(VGrid(gmap, xi))
-        a.append(BundleSection(gmap, a_vals))
-        u.append(BundleSection(gmap, grid_laplacians(gmap, prev) + a_vals))
-    return TensionTower(k, u, v, a)
+        xi = partials(u[-1])
+        a_vals = a_term_values(u[-1], xi, *data)
+        v.append(xi)
+        a.append(a_vals)
+        u.append(laplacians(u[-1]) + a_vals)
+    return u, v, a
+
+
+def _build_tower_fd(gmap: GridMap, k: int) -> TensionTower:
+    u, v, a = tower_values(tension(gmap).values, a_term_data(gmap), functools.partial(grid_partials, gmap),
+                           functools.partial(grid_laplacians, gmap), k)
+    return TensionTower(k, [BundleSection(gmap, x) for x in u], [VGrid(gmap, x) for x in v],
+                        [BundleSection(gmap, x) for x in a])
 
 
 def _richardson_estimate(gmap: GridMap, k: int, top_fine: np.ndarray) -> float | None:
@@ -253,7 +246,7 @@ def _richardson_estimate(gmap: GridMap, k: int, top_fine: np.ndarray) -> float |
     slicer = tuple([slice(None)] + [slice(None, None, 2)] * gmap.dom.dim)
     coarse = gmap.replace_values(gmap.values[slicer])
     try:
-        check_tower_resolution(coarse, k)
+        check_tower_resolution(coarse.eval_mode, coarse.grid_shape, k - 1)
     except ConfigurationError:
         return None
     top_c = _build_tower_fd(coarse, k).u[-1].values
@@ -391,14 +384,6 @@ class ES4Terms:
     hat_tau4: BundleSection
 
 
-def _require_es4_mode(gmap: GridMap, what: str) -> None:
-    if gmap.tgt.is_curvature_free:
-        return
-    if gmap.eval_mode != "analytic_jet":
-        raise CapabilityError(f"{what} needs analytic_jet mode on curved targets")
-    gmap.tgt.require_jets(2, what)
-
-
 def hat_tau4_values(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, omega0, lapbar_omega0):
     """xi_1, 2 xi_1 + 2 d* Omega_1 and hat tau_4 from node arrays (any
     trailing node shape):
@@ -413,11 +398,10 @@ def hat_tau4_values(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, omega0, lapbar_o
       L6 = R(R(dphi_i, dphi_j) tau, covd_i tau) dphi_j;
     * ``hat tau_4 = -1/2 (2 xi_1 + 2 d* Omega_1 + lapbar Omega_0 + Tr R(dphi, Omega_0) dphi)``.
 
-    L2 .. L5 are R(X_j, tau) dphi_j for a frame-indexed X (its i-trace taken
-    first) and go through ``trace_R_frame_sec``; L6 and xi_1 trace both frame
-    slots of T = R(dphi_i, dphi_j) tau pairwise.  No contraction with g^{-1}
-    carries more than three operands.  ``nabla_riem`` None stands for a target with
-    nabla R = 0 (a space form): xi_1 and L2 vanish and are not formed."""
+    L2 .. L5 are R(X_j, tau) dphi_j for a frame-indexed X and go through
+    ``trace_R_frame_sec``; L6 and xi_1 trace both frame slots of T pairwise,
+    so no contraction carries more than three operands.  ``nabla_riem`` None
+    stands for nabla R = 0: xi_1 and L2 are not formed."""
     T = curv_2form_values(riem, d1, u0)
     # X_j summed over L3, L4, L5 (and L2 below); ft_sff[b, c, j] = g^{ii'} dphi^b_i nabla dphi^c_{i'j}
     x_frame = np.einsum("adbc...,b...,cj...,d...->aj...", riem, u0, d1, u0)  # L3: R(tau, dphi_j) tau
@@ -456,16 +440,22 @@ def lapbar_omega0_paths(gmap: GridMap) -> tuple[np.ndarray, np.ndarray]:
             codifferential(gmap, gmap.eval_exprs(expansion), expansion))
 
 
-def es4_terms(gmap: GridMap) -> ES4Terms:
-    """Omega_0, Omega_1, xi_1 and hat tau_4, read by the kernels on
-    evaluated arrays.  On a curved target the two ``lapbar_omega0_paths``
-    must agree within ``ES4_PATH_TOL`` (sup-norm, relative to
-    max(1, sup |path (a)|)); path (a) enters hat tau_4."""
-    if gmap.tgt.is_curvature_free:
-        zero = np.zeros_like(gmap.values)
-        return ES4Terms(BundleSection(gmap, zero), np.zeros((gmap.dom.dim,) + zero.shape),
-                        BundleSection(gmap, zero.copy()), BundleSection(gmap, zero.copy()))
-    _require_es4_mode(gmap, "hat_tau4")
+def es4_values(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, lapbar):
+    """T = R(dphi_i, dphi_j) tau, Omega_0, xi_1 and hat tau_4 from node
+    leaves; ``lapbar`` maps Omega_0 to its rough Laplacian, the one
+    derivative of the field that is not a leaf."""
+    T = curv_2form_values(riem, d1, u0)
+    omega0 = omega0_values(ginv, riem, d1, T)
+    xi1, _, hat = hat_tau4_values(ginv, d1, sff, riem, nabla_riem, u0, cd_u0, omega0, lapbar(omega0))
+    return T, omega0, xi1, hat
+
+
+def _lapbar_omega0(gmap: GridMap, omega0: np.ndarray) -> np.ndarray:
+    """lapbar Omega_0: the stencil rough Laplacian in grid_fd mode; path (a)
+    of ``lapbar_omega0_paths`` in analytic_jet mode, within ``ES4_PATH_TOL``
+    of path (b) (sup-norm, relative to max(1, sup |path (a)|))."""
+    if gmap.eval_mode == "grid_fd":
+        return rough_laplacian(BundleSection(gmap, omega0)).values
     path_a, path_b = lapbar_omega0_paths(gmap)
     scale = max(1.0, float(np.max(np.abs(path_a))))
     gap = float(np.max(np.abs(path_a - path_b)))
@@ -473,20 +463,28 @@ def es4_terms(gmap: GridMap) -> ES4Terms:
         raise NumericalContractError(
             f"two lapbar Omega_0 evaluation paths disagree: sup gap {gap:.3e} (scale {scale:.3e})"
         )
+    return path_a
+
+
+def es4_terms(gmap: GridMap) -> ES4Terms:
+    """Omega_0, Omega_1, xi_1 and hat tau_4 of a map in either mode."""
+    if gmap.tgt.is_curvature_free:
+        zero = np.zeros_like(gmap.values)
+        return ES4Terms(BundleSection(gmap, zero), np.zeros((gmap.dom.dim,) + zero.shape),
+                        BundleSection(gmap, zero.copy()), BundleSection(gmap, zero.copy()))
+    gmap.tgt.require_jets(2, "hat_tau4")
     ginv, d1 = gmap.plan.ginv, dphi_values(gmap)
     riem = gmap.tgt.riemann(*gmap.values)
     tau = tension(gmap)
-    T = curv_2form_values(riem, d1, tau.values)
-    omega0 = omega0_values(ginv, riem, d1, T)
-    xi1, _, hat = hat_tau4_values(
+    T, omega0, xi1, hat = es4_values(
         ginv, d1, second_fundamental_form(gmap), riem, gmap.tgt.nabla_riemann(*gmap.values),
-        tau.values, covariant_derivative(tau).values, omega0, path_a)
+        tau.values, covariant_derivative(tau).values, functools.partial(_lapbar_omega0, gmap))
     return ES4Terms(BundleSection(gmap, omega0), omega1_values(ginv, riem, d1, T, tau.values),
                     BundleSection(gmap, xi1), BundleSection(gmap, hat))
 
 
 def hat_tau4(gmap: GridMap) -> BundleSection:
-    """hat tau_4, with the two-path check of ``es4_terms``."""
+    """hat tau_4 of ``es4_terms``."""
     return es4_terms(gmap).hat_tau4
 
 

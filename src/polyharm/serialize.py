@@ -52,7 +52,14 @@ def save_gridmap(path: str, gmap: GridMap) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# the header lines ``save_gridmap`` writes, each required by ``load_gridmap``
+GRIDMAP_HEADERS = ("grid_shape", "box_lo", "box_hi", "periodic", "domain", "target", "eval_mode",
+                   "fd_order", "winding", "columns")
+
+
 def load_gridmap(path: str, dom: DomainModel, tgt: TargetModel) -> GridMap:
+    """Read a gridmap file; every header line and one row of finite numbers
+    per node index are required, else ConfigurationError."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != GRIDMAP_MAGIC:
@@ -65,20 +72,30 @@ def load_gridmap(path: str, dom: DomainModel, tgt: TargetModel) -> GridMap:
             header[key] = val
         elif line.strip():
             rows.append(line.split())
-    shape = tuple(int(s) for s in header["grid_shape"].split())
+    missing = [key for key in GRIDMAP_HEADERS if key not in header]
+    if missing:
+        raise ConfigurationError(f"{path} lacks the header line(s) {missing}")
     if header["domain"] != dom.name or header["target"] != tgt.name:
         raise ConfigurationError(
             f"gridmap charts ({header['domain']} -> {header['target']}) do not match "
             f"the configured models ({dom.name} -> {tgt.name})")
-    n = tgt.dim
-    m = dom.dim
-    values = np.empty((n, int(np.prod(shape))))
-    for row in rows:
-        idx = int(row[0])
-        values[:, idx] = [float(v) for v in row[1 + m:1 + m + n]]
-    winding = np.array(json.loads(header["winding"]))
-    return GridMap(dom, tgt, shape, values.reshape((n,) + shape), "grid_fd", None,
-                   winding, int(header["fd_order"]))
+    n, m = tgt.dim, dom.dim
+    try:
+        shape = tuple(int(s) for s in header["grid_shape"].split())
+        winding = np.array(json.loads(header["winding"]), dtype=float).reshape(n, m)
+        index = np.array([int(row[0]) for row in rows], dtype=int)
+        table = np.array([[float(v) for v in row[1:]] for row in rows]).reshape(len(rows), m + n)
+        fd_order = int(header["fd_order"])
+    except (ValueError, TypeError) as exc:
+        raise ConfigurationError(f"{path} is malformed: {exc}") from exc
+    count = int(np.prod(shape))
+    if len(shape) != m or not np.array_equal(np.sort(index), np.arange(count)):
+        raise ConfigurationError(f"{path} needs a {m}-D grid_shape and one row per node index 0..{count - 1}")
+    if not (np.all(np.isfinite(table)) and np.all(np.isfinite(winding))):
+        raise ConfigurationError(f"{path} holds a non-finite number")
+    values = np.empty((n, count))
+    values[:, index] = table[:, m:].T
+    return GridMap(dom, tgt, shape, values.reshape((n,) + shape), "grid_fd", None, winding, fd_order)
 
 
 @dataclass

@@ -10,10 +10,9 @@ along a chart-line variation ``phi + t V`` against
 the Dirichlet case and must validate unchanged for every order.
 
 The latitude reduction evaluates the normal component of ``tau_k`` on the
-inclusion of the latitude sphere ``S^m(sin alpha)`` into ``S^{m+1}``.  By
-equivariance every tower level has constant chart components proportional to
-the polar direction, so one point suffices and the whole tower is exact
-pointwise algebra; the tangential components are asserted to vanish.
+inclusion of the latitude sphere ``S^m(sin alpha)`` into ``S^{m+1}`` at one
+point: by equivariance every tower level is a constant section, so the
+numeric tower and the ES-4 body run there with zero derivatives.
 """
 from __future__ import annotations
 
@@ -44,11 +43,11 @@ from .geometry import round_sphere_polar, sphere_cap_domain
 from .polytension import (
     build_tower,
     curv_2form_values,
-    hat_tau4_values,
-    omega0_values,
+    es4_values,
     tau4_es,
     tau_k,
     tau_k_from_tower,
+    tower_values,
 )
 
 __all__ = [
@@ -129,17 +128,12 @@ def energy_k(gmap: GridMap, k: int) -> EnergyReport:
 
 
 def energy_es4(gmap: GridMap) -> EnergyReport:
-    """1/2 int |lapbar tau|^2 + 1/4 int |R(dphi_i, dphi_j) tau|^2."""
-    h = _h_at(gmap)
-    ginv = gmap.plan.ginv
-    tower = build_tower(gmap, 2)
-    u1 = tower.u[1].values
-    main = np.einsum("ab...,a...,b...->...", h, u1, u1)
-    d1 = dphi_values(gmap)
+    """E_4 + 1/4 int |R(dphi_i, dphi_j) tau|^2."""
     riem = gmap.tgt.riemann(*gmap.values)
-    T = curv_2form_values(riem, d1, tower.u[0].values)
-    curv = np.einsum("ik...,jl...,ab...,aij...,bkl...->...", ginv, ginv, h, T, T)
-    value = 0.5 * integrate(gmap, main) + 0.25 * integrate(gmap, curv)
+    T = curv_2form_values(riem, dphi_values(gmap), tension(gmap).values)
+    ginv = gmap.plan.ginv
+    curv = np.einsum("ik...,jl...,ab...,aij...,bkl...->...", ginv, ginv, _h_at(gmap), T, T)
+    value = energy_k(gmap, 4).value + 0.25 * integrate(gmap, curv)
     if value < -1e-12:
         raise NumericalContractError(f"ES-4 energy came out negative: {value}")
     return EnergyReport("es4", max(value, 0.0), "trapezoid-torus", gmap.grid_shape)
@@ -245,31 +239,23 @@ def _latitude_state(m: int, alpha):
     }
 
 
-def _latitude_tower(st: dict, k: int):
-    """Pointwise tower: by homogeneity every level is constant, so
-    u_{i+1} = A(u_i, 0) and all v_i vanish."""
-    zero = np.zeros(st["d1"].shape)
-    tau = -st["lap_phi"] + gamma_trace(st["ginv"], st["gam"], st["d1"])
-    u = [tau]
-    for _ in range(k - 1):
-        u.append(a_term_values(u[-1], zero, st["ginv"], st["d1"], st["lap_phi"], st["gam"], st["s_t"]))
-    return u, [zero] * max(k - 1, 1)
+def _latitude_tau(st: dict) -> np.ndarray:
+    return -st["lap_phi"] + gamma_trace(st["ginv"], st["gam"], st["d1"])
+
+
+def _latitude_a_data(st: dict) -> tuple:
+    return st["ginv"], st["d1"], st["lap_phi"], st["gam"], st["s_t"]
 
 
 def _latitude_hat_tau4(st: dict) -> np.ndarray:
-    """hat tau_4 at a latitude point.  The target is a space form, so the
-    nabla-R contributions vanish; Omega_0 is an equivariant constant section,
-    hence lapbar Omega_0 = A(Omega_0, 0); the remaining codifferential terms
-    are pointwise curvature algebra that must cancel on the equator family."""
-    ginv, d1, lap_phi = st["ginv"], st["d1"], st["lap_phi"]
-    gam, s_t, riem = st["gam"], st["s_t"], st["riem"]
+    """hat tau_4 at a latitude point: nabla R = 0 on the sphere, and the
+    constant section Omega_0 has lapbar Omega_0 = A(Omega_0, 0)."""
+    ginv, d1, gam, riem = st["ginv"], st["d1"], st["gam"], st["riem"]
     zero = np.zeros(d1.shape)
-    u0 = -lap_phi + gamma_trace(ginv, gam, d1)
-    cd_u0 = covd_values(zero, gam, d1, u0)
+    u0 = _latitude_tau(st)
     sff = second_ff_values(0.0, st["gam_dom"], gam, d1)  # the inclusion is linear: d2 phi = 0
-    omega0 = omega0_values(ginv, riem, d1, curv_2form_values(riem, d1, u0))
-    lapbar_omega0 = a_term_values(omega0, zero, ginv, d1, lap_phi, gam, s_t)
-    return hat_tau4_values(ginv, d1, sff, riem, None, u0, cd_u0, omega0, lapbar_omega0)[2]
+    lapbar = lambda omega0: a_term_values(omega0, zero, *_latitude_a_data(st))
+    return es4_values(ginv, d1, sff, riem, None, u0, covd_values(zero, gam, d1, u0), lapbar)[3]
 
 
 def _latitude_values(m: int, order, alphas) -> np.ndarray:
@@ -289,7 +275,9 @@ def _latitude_values(m: int, order, alphas) -> np.ndarray:
     k = 4 if order == "es4" else int(order)
     if k < 1:
         raise ConfigurationError("latitude reduction order must be >= 1 or 'es4'")
-    u, v = _latitude_tower(st, k)
+    # by homogeneity every tower level is a constant section: zero derivatives
+    zero = np.zeros(st["d1"].shape)
+    u, v, _ = tower_values(_latitude_tau(st), _latitude_a_data(st), lambda u: zero, lambda u: 0.0, k)
     vals = u[0] if k == 1 else tau_k_from_tower(k, st["ginv"], st["d1"], st["riem"], st["gam"], u, v)
     if order == "es4":
         vals = vals + _latitude_hat_tau4(st)

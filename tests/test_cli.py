@@ -357,3 +357,212 @@ def test_tau_es4_evaluates_lapbar_omega0_pair_once(monkeypatch):
     art = cli.run(cfg)
     assert len(calls) == 1
     assert set(art.summary) == {"max_abs", "max_abs_hat", "max_abs_xi1"}
+
+
+def _main(tmp_path, spec: dict, command: str | None = None) -> tuple[int, pathlib.Path]:
+    """Exit code of ``polyharm <command> --config <spec> --out <file>`` and
+    the artifact path."""
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(spec))
+    out = tmp_path / "artifact.txt"
+    return cli.main([command or spec["command"], "--config", str(cfgf), "--out", str(out)]), out
+
+
+TORUS_SPHERE = {
+    "domain": {"kind": "flat_torus", "dim": 2},
+    "target": {"kind": "round_sphere_polar", "dim": 2},
+    "map": {"exprs": ["x1 + sin(x2)/5", "pi/2 + cos(x1)/4"]},
+}
+
+
+def test_tau_es4_on_curved_grid_target_exits_0(tmp_path):
+    spec = {"command": "tau-es4", "eval_mode": "grid_fd", "grid_shape": [48, 48], **TORUS_SPHERE}
+    assert cf.validate(_cfg(**spec)) == []
+    code, out = _main(tmp_path, spec)
+    assert code == 0 and out.exists()
+    assert cli.run(_cfg(**spec)).summary["max_abs_hat"] > 0.0
+
+
+def test_lapbar_omega0_path_gap_exits_5_without_writing(tmp_path, monkeypatch, capsys):
+    from polyharm import polytension as pt
+
+    paths = pt.lapbar_omega0_paths
+
+    def apart(gmap):
+        a, b = paths(gmap)
+        return a, b + 10 * pt.ES4_PATH_TOL * max(1.0, float(np.max(np.abs(a))))
+
+    monkeypatch.setattr(pt, "lapbar_omega0_paths", apart)
+    code, out = _main(tmp_path, {"command": "tau-es4", "grid_shape": [12, 12], **TORUS_SPHERE})
+    assert code == 5 and not out.exists()
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error_type"] == "NumericalContractError" and "disagree" in record["message"]
+
+
+def test_run_tower_grid_fd_reports_richardson_error():
+    art = cli.run(_cfg(command="tower", order=2, eval_mode="grid_fd", **{**CIRCLE_SPHERE, "grid_shape": [64]}))
+    assert art.summary["levels"] == 2
+    assert 0.0 < art.summary["richardson_error"] < 1e-2
+    assert len(art.records) == 2 * 64 * 2
+
+
+def test_run_variation_check():
+    cfg = _cfg(command="variation-check", order=2, variation={"exprs": ["0", "sin(x1)/3"]}, **CIRCLE_SPHERE)
+    assert cf.validate(cfg) == []
+    assert cli.run(cfg).summary["discrepancy"] <= 1e-6
+
+
+def test_run_reduce_residual():
+    art = cli.run(_cfg(command="reduce-residual", order=3, eval_mode="grid_fd",
+                       **{**CIRCLE_SPHERE, "grid_shape": [64]}))
+    assert len(art.records) == 64
+    assert 0.0 < art.summary["sup_residual"] < 1e-3
+
+
+def test_artifact_goes_to_stdout_without_out(tmp_path, capsys):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"command": "tension", **CIRCLE_SPHERE}))
+    assert cli.main(["tension", "--config", str(cfgf)]) == 0
+    assert capsys.readouterr().out == cli.run(_cfg(command="tension", **CIRCLE_SPHERE)).render()
+    assert list(tmp_path.iterdir()) == [cfgf]
+
+
+def test_flow_converts_an_analytic_config_to_grid_fd():
+    cfg = _cfg(command="flow", order=2, flow={"dt": 1e-4, "steps": 2}, **{**CIRCLE_SPHERE, "grid_shape": [64]})
+    assert cfg.eval_mode == "analytic_jet"
+    art = cli.run(cfg)
+    energies = [rec[1] for rec in art.records]
+    assert len(energies) == 3 and energies[-1] < energies[0]
+
+
+# -- the static resolution rule reads the tower depth of each command ----------
+
+
+@pytest.mark.parametrize("command,order", [("aronszajn", 3), ("energy", 3), ("energy", 5)])
+def test_shallow_towers_run_on_a_coarse_grid(tmp_path, command, order):
+    spec = {"command": command, "order": order, "eval_mode": "grid_fd", "grid_shape": [20, 20], **TORUS_SPHERE}
+    assert cf.validate(_cfg(**spec)) == []
+    code, out = _main(tmp_path, spec)
+    assert code == 0 and out.exists()
+
+
+@pytest.mark.parametrize("command,order,nodes", [("aronszajn", 4, 32), ("energy", 6, 32), ("tau-k", 3, 32),
+                                                 ("tau-es4", None, 48)])
+def test_static_resolution_rule_matches_the_tower(command, order, nodes):
+    # one node short of the tower depth the command builds, validate reports
+    # the resolution policy and the computation's tower refuses the grid;
+    # with enough nodes validate reports nothing
+    from polyharm import polytension as pt, reduction as red, variational as va
+
+    compute = {"aronszajn": lambda g: red.aronszajn_ratio(g, 4), "energy": lambda g: va.energy_k(g, 6),
+               "tau-k": lambda g: pt.tau_k(g, 3), "tau-es4": pt.tau4_es}[command]
+    for n, refused in ((nodes - 1, True), (nodes, False)):
+        cfg = _cfg(command=command, order=order, eval_mode="grid_fd", **{**CIRCLE_SPHERE, "grid_shape": [n]})
+        diags = cf.validate(cfg)
+        assert any("resolution policy" in d for d in diags) == refused, (n, diags)
+        assert diags == [] or refused
+        if refused:
+            gmap = cf.build_map(cfg, cf.build_domain(cfg.domain), cf.build_target(cfg.target))
+            with pytest.raises(ConfigurationError, match=f"depth .* needs >= {nodes} nodes"):
+                compute(gmap)
+
+
+def test_variation_check_in_grid_fd_is_a_capability_diagnostic(tmp_path):
+    spec = {"command": "variation-check", "order": 2, "eval_mode": "grid_fd",
+            "variation": {"exprs": ["0", "sin(x1)/3"]}, **CIRCLE_SPHERE}
+    assert any(d.startswith("capability:") for d in cf.validate(_cfg(**spec)))
+    code, out = _main(tmp_path, spec)
+    assert code == 3 and not out.exists()
+
+
+# -- malformed grid files --------------------------------------------------------
+
+
+def _grid_file_lines(tmp_path) -> list[str]:
+    dom, tgt = geo.flat_torus(1), geo.round_sphere_polar(2)
+    x = dom.coords[0]
+    path = tmp_path / "map.txt"
+    ser.save_gridmap(str(path), GridMap.from_exprs(dom, tgt, (32,), (x, sp.pi / 2 + sp.sin(x) / 4),
+                                                   eval_mode="grid_fd"))
+    return path.read_text().splitlines()
+
+
+def _edit_rows(lines, edit):
+    head = [ln for ln in lines if ln.startswith("#")]
+    return head + edit([ln for ln in lines if not ln.startswith("#")])
+
+
+@pytest.mark.parametrize("defect", ["three_rows_missing", "index_out_of_range", "duplicate_index",
+                                    "no_grid_shape", "no_winding", "short_row", "nan_value", "bad_number"])
+def test_malformed_grid_file_exits_2_without_writing(tmp_path, defect):
+    lines = _grid_file_lines(tmp_path)
+    edits = {
+        "three_rows_missing": lambda ls: _edit_rows(ls, lambda rows: rows[:10] + rows[13:]),
+        "index_out_of_range": lambda ls: _edit_rows(ls, lambda rows: rows[:-1] + ["32" + rows[-1][2:]]),
+        "duplicate_index": lambda ls: _edit_rows(ls, lambda rows: rows[:-1] + ["0" + rows[-1][2:]]),
+        "no_grid_shape": lambda ls: [ln for ln in ls if not ln.startswith("# grid_shape")],
+        "no_winding": lambda ls: [ln for ln in ls if not ln.startswith("# winding")],
+        "short_row": lambda ls: _edit_rows(ls, lambda rows: rows[:-1] + [rows[-1].rsplit(" ", 1)[0]]),
+        "nan_value": lambda ls: _edit_rows(ls, lambda rows: rows[:-1] + [rows[-1].rsplit(" ", 1)[0] + " nan"]),
+        "bad_number": lambda ls: _edit_rows(ls, lambda rows: rows[:-1] + [rows[-1].rsplit(" ", 1)[0] + " 1.2.3"]),
+    }
+    grid_file = tmp_path / "bad.txt"
+    grid_file.write_text("\n".join(edits[defect](lines)) + "\n")
+    spec = {"command": "tension", "eval_mode": "grid_fd", "domain": CIRCLE_SPHERE["domain"],
+            "target": CIRCLE_SPHERE["target"], "map": {"grid_file": str(grid_file)}, "grid_shape": [32]}
+    code, out = _main(tmp_path, spec)
+    assert code == 2 and not out.exists()
+
+
+# -- input defects rejected up front -----------------------------------------------
+
+
+@pytest.mark.parametrize("fn", ["erf(x1)", "gamma(2 + sin(x1))", "loggamma(2 + sin(x1))"])
+def test_scalar_math_function_exits_3_without_writing(tmp_path, capsys, fn):
+    spec = {"command": "tension", **CIRCLE_SPHERE, "map": {"exprs": ["x1", f"pi/2 + {fn}/5"]}}
+    code, out = _main(tmp_path, spec)
+    assert code == 3 and not out.exists()
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error_type"] == "CapabilityError"
+
+
+@pytest.mark.parametrize("expr", ["1/(x1 - x1)", "nan", "oo", "-oo*x1"])
+def test_nonfinite_expression_exits_2_without_writing(tmp_path, expr):
+    code, out = _main(tmp_path, {"command": "tension", **CIRCLE_SPHERE, "map": {"exprs": ["x1", expr]}})
+    assert code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("block,extra", [
+    ("target", {"colar": 0.01}),
+    ("domain", {"peroid": 3.0}),
+    ("map", {"grid_fil": "map.txt"}),
+    ("flow", {"dtt": 1e-3}),
+])
+def test_unknown_nested_key_exits_2_without_writing(tmp_path, block, extra):
+    spec = {"command": "flow", "order": 2, "eval_mode": "grid_fd", "flow": {"dt": 1e-4, "steps": 1},
+            **CIRCLE_SPHERE, "grid_shape": [32]}
+    spec[block] = {**spec[block], **extra}
+    diags = cf.validate(_cfg(**spec))
+    assert any(f"unknown {block} keys" in d for d in diags), diags
+    code, out = _main(tmp_path, spec)
+    assert code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("t", [0, -1e-5, "nan", "inf", "small"])
+def test_variation_step_must_be_finite_and_positive(tmp_path, t):
+    spec = {"command": "variation-check", "order": 1, "variation": {"exprs": ["0", "sin(x1)/3"], "t": t},
+            **CIRCLE_SPHERE}
+    code, out = _main(tmp_path, spec)
+    assert code == 2 and not out.exists()
+
+
+def test_latitude_search_needs_an_order(tmp_path, capsys):
+    code, out = _main(tmp_path, {"command": "latitude-search", "latitude": {"m": 2}})
+    assert code == 2 and not out.exists()
+    assert "order" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+
+
+@pytest.mark.parametrize("command", ["tau-k", "aronszajn"])
+def test_integer_order_commands_reject_es4(tmp_path, command):
+    code, out = _main(tmp_path, {"command": command, "order": "es4", **CIRCLE_SPHERE})
+    assert code == 2 and not out.exists()

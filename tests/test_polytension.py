@@ -422,12 +422,55 @@ def test_codifferential_of_covd_is_rough_laplacian(dom_bumpy, tgt_s2):
     assert np.max(np.abs(d_star - lapbar)) <= 1e-10 * float(np.max(np.abs(lapbar)))
 
 
-def test_es4_needs_analytic_mode_on_curved_targets(dom_t1, tgt_s2):
-    x = dom_t1.coords[0]
-    gm = fl.GridMap.from_exprs(dom_t1, tgt_s2, (64,),
-                               (x, sp.pi / 2 + sp.sin(x) / 3), eval_mode="grid_fd")
-    with pytest.raises(CapabilityError):
-        pt.hat_tau4(gm)
+def _grid_hat_tau4_errors(dom, tgt, exprs, refs, fd_order):
+    """sup |hat tau_4| error of the grid_fd field against the analytic field
+    ``refs[N]`` on every N x N grid of ``refs``, in increasing N."""
+    errs = []
+    for n, ref in sorted(refs.items()):
+        gm = fl.GridMap.from_exprs(dom, tgt, (n, n), exprs, eval_mode="grid_fd", fd_order=fd_order)
+        errs.append(float(np.max(np.abs(pt.hat_tau4(gm).values - ref))))
+    return errs
+
+
+def test_grid_hat_tau4_converges_at_stencil_order(dom_t2, tgt_s2):
+    # grid_fd ES-4 on a curved target: the stencil rough Laplacian of Omega_0
+    # carries no runtime two-path check, so convergence to the analytic field
+    # (which keeps its own check) pins it
+    x1, x2 = dom_t2.coords
+    exprs = (2 * x1 + sp.cos(x2) / 5, sp.pi / 2 + sp.sin(x1 + x2) / 4)
+    base = fl.GridMap.from_exprs(dom_t2, tgt_s2, (32, 32), exprs)
+    refs = {n: pt.hat_tau4(base.resample((n, n))).values for n in (32, 64, 128)}
+    assert np.max(np.abs(refs[128])) > 0.5
+    for fd_order in (4, 6):
+        errs = _grid_hat_tau4_errors(dom_t2, tgt_s2, exprs, refs, fd_order)
+        assert min(observed_order(errs)) >= fd_order - 0.5, (fd_order, errs)
+
+
+def test_es4_on_user_metric_target(dom_t2, monkeypatch):
+    # a target that is not a space form: nabla R enters xi_1, L2 and both
+    # lapbar Omega_0 paths, so the engine's closed-form nabla R is exercised
+    y1, y2 = sp.symbols("y1:3", real=True)
+    tgt = geo.target_from_metric([[sp.exp(2 * sp.sin(y2) / 5), 0], [0, 1]], (y1, y2))
+    x1, x2 = dom_t2.coords
+    exprs = (2 * x1 + sp.cos(x2) / 5, 1 + sp.sin(x1 + x2) / 4)
+    gaps = []
+    paths = pt.lapbar_omega0_paths
+
+    def recorded(gmap):
+        a, b = paths(gmap)
+        gaps.append(float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(a)))))
+        return a, b
+
+    monkeypatch.setattr(pt, "lapbar_omega0_paths", recorded)
+    terms = pt.es4_terms(fl.GridMap.from_exprs(dom_t2, tgt, (64, 64), exprs))
+    assert gaps and gaps[0] <= 1e-12
+    assert terms.xi1.max_norm() > 0.0
+    # the analytic field on the 64^2 grid restricted to its 16^2 and 32^2 subgrids
+    refs = {64 // s: terms.hat_tau4.values[:, ::s, ::s] for s in (4, 2, 1)}
+    for fd_order in (4, 6):
+        errs = _grid_hat_tau4_errors(dom_t2, tgt, exprs, refs, fd_order)
+        assert errs[0] > errs[1] > errs[2]
+        assert observed_order(errs)[-1] >= fd_order - 0.5, (fd_order, errs)
 
 
 def test_latitude_hat_tau4_cancels():

@@ -6,9 +6,10 @@ import pytest
 import sympy as sp
 
 from polyharm import fields as fl
+from polyharm import polytension as pt
 from polyharm import geometry as geo
 from polyharm import variational as va
-from polyharm.errors import CapabilityError, ChartDomainError, ConfigurationError, NumericalContractError
+from polyharm.errors import ChartDomainError, ConfigurationError, NumericalContractError
 
 
 # -- energies -------------------------------------------------------------------
@@ -308,7 +309,7 @@ def test_flow_halves_unstable_step(dom_t1, tgt_s2):
     assert res.dt_final < 1.0
 
 
-def test_flow_es4_runs_on_flat_target_only(dom_t1, tgt_e2, tgt_s2):
+def test_flow_es4_runs_on_flat_target(dom_t1, tgt_e2):
     x = dom_t1.coords[0]
     flat = fl.GridMap.from_exprs(dom_t1, tgt_e2, (64,), (sp.sin(x) / 10, sp.cos(2 * x) / 10),
                                  eval_mode="grid_fd")
@@ -316,10 +317,20 @@ def test_flow_es4_runs_on_flat_target_only(dom_t1, tgt_e2, tgt_s2):
     assert res.accepted_steps == 3
     energies = res.energies
     assert all(energies[i + 1] <= energies[i] + 1e-12 for i in range(len(energies) - 1))
-    curved = fl.GridMap.from_exprs(dom_t1, tgt_s2, (64,), (x, sp.pi / 2 + sp.sin(x) / 100),
-                                   eval_mode="grid_fd")
-    with pytest.raises(CapabilityError):
-        va.gradient_flow(curved, "es4", dt=1e-9, steps=3)
+
+
+def test_flow_es4_runs_on_curved_grid_target(dom_t2, tgt_s2):
+    # grid_fd ES-4 on the sphere: hat tau_4 from the stencil rough Laplacian
+    # of Omega_0, nonzero on a two-dimensional domain
+    x1, x2 = dom_t2.coords
+    gm = fl.GridMap.from_exprs(dom_t2, tgt_s2, (48, 48), (x1 + sp.sin(x2) / 5, sp.pi / 2 + sp.cos(x1) / 4),
+                               eval_mode="grid_fd")
+    assert pt.hat_tau4(gm).max_norm() > 0.0
+    res = va.gradient_flow(gm, "es4", dt=1e-7, steps=3)
+    assert res.accepted_steps == 3
+    energies = res.energies
+    assert all(energies[i + 1] <= energies[i] + va.FLOW_ENERGY_SLACK for i in range(len(energies) - 1))
+    assert energies[-1] < energies[0]
 
 
 def test_flow_dt_underflow(dom_t1, tgt_s2):
