@@ -228,19 +228,17 @@ def _latitude_state(m: int, alpha):
     lap_phi[:m] = np.einsum("ij...,aij...->a...", ginv, gam_dom)
     y = np.concatenate([np.repeat(np.asarray(point, dtype=float)[:, None], N, axis=1), alphas[None]])
     tgt.check_chart(y, what="latitude point")
+    gam = tgt.christoffel(*y)
     return {
         "ginv": ginv,
         "gam_dom": gam_dom,
         "d1": d1,
         "lap_phi": lap_phi,
-        "gam": tgt.christoffel(*y),
+        "gam": gam,
         "s_t": tgt.s_tensor(*y),
         "riem": tgt.riemann(*y),
+        "tau": -lap_phi + gamma_trace(ginv, gam, d1),
     }
-
-
-def _latitude_tau(st: dict) -> np.ndarray:
-    return -st["lap_phi"] + gamma_trace(st["ginv"], st["gam"], st["d1"])
 
 
 def _latitude_a_data(st: dict) -> tuple:
@@ -251,11 +249,10 @@ def _latitude_hat_tau4(st: dict) -> np.ndarray:
     """hat tau_4 at a latitude point: nabla R = 0 on the sphere, and the
     constant section Omega_0 has lapbar Omega_0 = A(Omega_0, 0)."""
     ginv, d1, gam, riem = st["ginv"], st["d1"], st["gam"], st["riem"]
-    zero = np.zeros(d1.shape)
-    u0 = _latitude_tau(st)
+    zero, u0 = np.zeros(d1.shape), st["tau"]
     sff = second_ff_values(0.0, st["gam_dom"], gam, d1)  # the inclusion is linear: d2 phi = 0
-    lapbar = lambda omega0: a_term_values(omega0, zero, *_latitude_a_data(st))
-    return es4_values(ginv, d1, sff, riem, None, u0, covd_values(zero, gam, d1, u0), lapbar)[3]
+    return es4_values(ginv, d1, sff, riem, None, u0, covd_values(zero, gam, d1, u0),
+                      lambda omega0: a_term_values(omega0, zero, *_latitude_a_data(st)))[3]
 
 
 def _latitude_values(m: int, order, alphas) -> np.ndarray:
@@ -277,7 +274,7 @@ def _latitude_values(m: int, order, alphas) -> np.ndarray:
         raise ConfigurationError("latitude reduction order must be >= 1 or 'es4'")
     # by homogeneity every tower level is a constant section: zero derivatives
     zero = np.zeros(st["d1"].shape)
-    u, v, _ = tower_values(_latitude_tau(st), _latitude_a_data(st), lambda u: zero, lambda u: 0.0, k)
+    u, v, _ = tower_values(st["tau"], _latitude_a_data(st), lambda u: zero, lambda u: 0.0, k)
     vals = u[0] if k == 1 else tau_k_from_tower(k, st["ginv"], st["d1"], st["riem"], st["gam"], u, v)
     if order == "es4":
         vals = vals + _latitude_hat_tau4(st)

@@ -359,13 +359,13 @@ def test_tau_es4_evaluates_lapbar_omega0_pair_once(monkeypatch):
     assert set(art.summary) == {"max_abs", "max_abs_hat", "max_abs_xi1"}
 
 
-def _main(tmp_path, spec: dict, command: str | None = None) -> tuple[int, pathlib.Path]:
+def _main(tmp_path, spec: dict) -> tuple[int, pathlib.Path]:
     """Exit code of ``polyharm <command> --config <spec> --out <file>`` and
     the artifact path."""
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps(spec))
     out = tmp_path / "artifact.txt"
-    return cli.main([command or spec["command"], "--config", str(cfgf), "--out", str(out)]), out
+    return cli.main([spec["command"], "--config", str(cfgf), "--out", str(out)]), out
 
 
 TORUS_SPHERE = {
