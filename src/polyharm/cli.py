@@ -26,26 +26,15 @@ import numpy as np
 from . import __version__
 from . import reduction as red
 from . import variational as va
-from .config import COMMANDS, ExperimentConfig, build_domain, build_map, build_target, parse_exprs, validate
-from .errors import (
-    CapabilityError,
-    ChartDomainError,
-    ConfigurationError,
-    DegenerateInputError,
-    NumericalContractError,
-    PolyharmError,
-)
+from .config import COMMANDS, ExperimentConfig, build_domain, build_map, build_target, check, parse_exprs
+from .errors import (CapabilityError, ChartDomainError, ConfigurationError, DegenerateInputError,
+                     NumericalContractError, PolyharmError)
 from .fields import tension
 from .polytension import build_tower, es4_terms, tau_k
 from .serialize import ResultArtifact
 
-EXIT_CODES = {
-    ConfigurationError: 2,
-    CapabilityError: 3,
-    ChartDomainError: 4,
-    NumericalContractError: 5,
-    DegenerateInputError: 6,
-}
+EXIT_CODES = {ConfigurationError: 2, CapabilityError: 3, ChartDomainError: 4, NumericalContractError: 5,
+              DegenerateInputError: 6}
 
 
 def _node_records(gmap, values: np.ndarray):
@@ -66,26 +55,17 @@ def _require_finite(records: list[tuple], summary: dict) -> None:
             raise NumericalContractError(f"non-finite value {v} in artifact summary {key!r}")
 
 
-def _order_of(order):
-    return order if order == "es4" else int(order)
-
-
 def run(cfg: ExperimentConfig) -> ResultArtifact:
     """Dispatch one validated configuration and build its artifact."""
-    diags = validate(cfg)
+    diags, typed = check(cfg)
     if diags:
-        if all(d.startswith("capability:") for d in diags):
-            raise CapabilityError("; ".join(diags))
-        raise ConfigurationError("; ".join(diags))
+        error = CapabilityError if all(d.startswith("capability:") for d in diags) else ConfigurationError
+        raise error("; ".join(diags))
     start = time.monotonic()
-    command = cfg.command
-    columns: list[str]
-    records: list[tuple]
-    summary: dict[str, object] = {}
+    command, order = cfg.command, typed["order"]
 
     if command == "latitude-search":
-        m = int(cfg.latitude["m"])
-        order = _order_of(cfg.latitude.get("order", cfg.order))
+        m = typed["latitude"]["m"]
         roots = va.find_k_harmonic_latitude(m, order)
         columns = ["index", "alpha", "reduction_value"]
         records = [(i, r, va.latitude_reduction(m, order, r)) for i, r in enumerate(roots)]
@@ -102,7 +82,7 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
             records = _node_records(gmap, tau.values)
             summary = {"max_abs_tension": tau.max_norm()}
         elif command == "tower":
-            tower = build_tower(gmap, int(cfg.order), richardson=gmap.eval_mode == "grid_fd")
+            tower = build_tower(gmap, order, richardson=gmap.eval_mode == "grid_fd")
             columns = ["level", "node", "component", "value"]
             records = [(i,) + rec for i, sec in enumerate(tower.u)
                        for rec in _node_records(gmap, sec.values)]
@@ -112,72 +92,59 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
             if tower.richardson_error is not None:
                 summary["richardson_error"] = tower.richardson_error
         elif command == "tau-k":
-            sec = tau_k(gmap, int(cfg.order))
+            sec = tau_k(gmap, order)
             columns = ["node", "component", "value"]
             records = _node_records(gmap, sec.values)
-            summary = {"max_abs": sec.max_norm(), "order": int(cfg.order)}
+            summary = {"max_abs": sec.max_norm(), "order": order}
         elif command == "tau-es4":
             terms = es4_terms(gmap)
             # tau4_es(gmap) would run es4_terms a second time for the same field
             vals = tau_k(gmap, 4).values + terms.hat_tau4.values
             columns = ["node", "component", "value"]
             records = _node_records(gmap, vals)
-            summary = {
-                "max_abs": float(np.max(np.abs(vals))),
-                "max_abs_hat": terms.hat_tau4.max_norm(),
-                "max_abs_xi1": terms.xi1.max_norm(),
-            }
+            summary = {"max_abs": float(np.max(np.abs(vals))), "max_abs_hat": terms.hat_tau4.max_norm(),
+                       "max_abs_xi1": terms.xi1.max_norm()}
         elif command == "energy":
-            rep = va.energy_es4(gmap) if cfg.order == "es4" else va.energy_k(gmap, int(cfg.order))
+            rep = va.energy_es4(gmap) if order == "es4" else va.energy_k(gmap, order)
             columns = ["order", "value"]
             records = [(str(rep.k), rep.value)]
             summary = {"energy": rep.value, "quadrature": rep.quadrature}
         elif command == "variation-check":
-            disc = va.first_variation_check(gmap, parse_exprs(cfg.variation["exprs"], dom.coords),
-                                            _order_of(cfg.order), t=float(cfg.variation.get("t", 1e-5)))
+            var = dict(typed["variation"])
+            disc = va.first_variation_check(gmap, parse_exprs(var.pop("exprs"), dom.coords), order, **var)
             columns = ["order", "discrepancy"]
-            records = [(str(cfg.order), disc)]
+            records = [(str(order), disc)]
             summary = {"discrepancy": disc}
         elif command == "reduce-residual":
-            res = red.residual(gmap, int(cfg.order), cfg.kind)
+            res = red.residual(gmap, order, cfg.kind)
             columns = ["node", "value"]
             records = [(i, v) for i, v in enumerate(res.reshape(-1))]
             summary = {"sup_residual": float(np.max(res))}
         elif command == "aronszajn":
             mask = red.window_mask(gmap.grid_shape, cfg.window) if cfg.window else None
-            rep = red.aronszajn_ratio(gmap, int(cfg.order), cfg.kind, mask)
+            rep = red.aronszajn_ratio(gmap, order, cfg.kind, mask)
             columns = ["lemma", "sup_ratio", "masked_fraction", "grid_shape"]
             records = [("aronszajn", rep.ratio, rep.masked_fraction, "x".join(map(str, gmap.grid_shape)))]
             summary = {"sup_ratio": rep.ratio, "masked_fraction": rep.masked_fraction}
         elif command == "pair-bound":
             gmap2 = build_map(cfg, dom, tgt, "map2")
-            rep = red.pair_difference_bound(gmap, gmap2, int(cfg.order))
+            rep = red.pair_difference_bound(gmap, gmap2, order)
             columns = ["lemma", "sup_ratio", "masked_fraction", "grid_shape"]
             shape = "x".join(map(str, gmap.grid_shape))
             records = [(name, r.ratio, r.masked_fraction, shape) for name, r in rep.as_records()]
             summary = {"full_ratio": rep.full.ratio}
         elif command == "equator-check":
-            rep = red.equator_bound(gmap, int(cfg.order), cfg.window)
+            rep = red.equator_bound(gmap, order, cfg.window)
             columns = ["block", "max_on_window"]
             records = [(name, v) for name, v in sorted(rep.block_max_on_window.items())]
-            summary = {
-                "max_y_on_window": rep.max_on_window,
-                "off_window_ratio": rep.off_window.ratio,
-                "off_window_masked_fraction": rep.off_window.masked_fraction,
-            }
+            summary = {"max_y_on_window": rep.max_on_window, "off_window_ratio": rep.off_window.ratio,
+                       "off_window_masked_fraction": rep.off_window.masked_fraction}
         elif command == "flow":
-            res = va.gradient_flow(gmap, _order_of(cfg.order), float(cfg.flow["dt"]),
-                                   int(cfg.flow["steps"]))
+            res = va.gradient_flow(gmap, order, **typed["flow"])
             columns = ["step", "energy", "tau_norm"]
             records = list(res.records)
-            summary = {
-                "final_energy": res.records[-1][1],
-                "final_tau_norm": res.records[-1][2],
-                "dt_final": res.dt_final,
-                "halvings": res.halvings,
-            }
-        else:
-            raise ConfigurationError(f"unknown command {command!r}")
+            summary = {"final_energy": res.records[-1][1], "final_tau_norm": res.records[-1][2],
+                       "dt_final": res.dt_final, "halvings": res.halvings}
 
     _require_finite(records, summary)
     wall = time.monotonic() - start
@@ -187,9 +154,7 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="polyharm",
-        description="higher-order tension fields, reduction witnesses and latitude searches",
-    )
+        prog="polyharm", description="higher-order tension fields, reduction witnesses and latitude searches")
     parser.add_argument("command", choices=list(COMMANDS) + ["validate"])
     parser.add_argument("--config", required=True, help="path to a JSON experiment configuration")
     parser.add_argument("--out", default=None, help="artifact output path (default: stdout)")
@@ -201,7 +166,7 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 f"command line says {args.command!r} but the config says {cfg.command!r}")
         if args.command == "validate":
-            diags = validate(cfg)
+            diags = check(cfg)[0]
             for d in diags:
                 print(d)
             return 0 if not diags else 2

@@ -3,7 +3,8 @@
 Configurations are JSON with an explicit ``schema_version``.  Parsing is
 strict (unknown keys rejected) and the canonical emission is sorted-key JSON,
 so ``parse -> emit -> parse`` is the identity and identical configurations
-hash identically.
+hash identically.  One schema (``COMMANDS``, ``TOP``, ``BLOCKS``) types every
+key for ``validate``, the builders and ``cli.run``; it never rewrites a config.
 """
 from __future__ import annotations
 
@@ -18,11 +19,12 @@ from . import geometry
 from .errors import ConfigurationError
 from .fields import GridMap
 from .polytension import check_tower_resolution
+from .reduction import KINDS
+from .serialize import load_gridmap
+from .stencils import SUPPORTED_ORDERS
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("tension", "tower", "tau-k", "tau-es4", "energy", "variation-check", "reduce-residual",
-            "aronszajn", "pair-bound", "equator-check", "latitude-search", "flow")
 
 @dataclass
 class ExperimentConfig:
@@ -68,14 +70,129 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# model building
+# the schema: a type is (what a value must be, a function that returns the
+# typed value and raises TypeError or ValueError on any other value)
 # ---------------------------------------------------------------------------
 
 
-def _user_metric(spec: dict, prefix: str):
-    dim = int(spec["dim"])
-    coords = tuple(sp.symbols(f"{prefix}1:{dim + 1}", real=True))
-    return [parse_exprs(spec["metric"][i][:dim], coords) for i in range(dim)], coords
+def _ok(cond, value):
+    if not cond:
+        raise ValueError
+    return value
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
+def _one_of(*values) -> tuple:
+    return f"one of {list(values)}", lambda v: _ok(any(v == c and type(v) is type(c) for c in values), v)
+
+
+COUNT = ("an integer >= 1", lambda v: _ok(_is_int(v) and v >= 1, v))
+ORDER = ("an integer >= 1 or 'es4'", lambda v: _ok(v == "es4" or COUNT[1](v), v))
+NUMBER = ("a finite number", lambda v: _ok(_is_num(v), float(v)))
+POSITIVE = ("a finite number > 0", lambda v: _ok(_is_num(v) and v > 0, float(v)))
+NUMBERS = ("a list of finite numbers", lambda v: _ok(isinstance(v, list), [NUMBER[1](x) for x in v]))
+TEXT = ("a string", lambda v: _ok(isinstance(v, str), v))
+FLAG = ("true or false", lambda v: _ok(isinstance(v, bool), v))
+EXPRS = ("a list of expressions", lambda v: _ok(isinstance(v, list) and all(isinstance(e, str) or _is_num(e)
+                                                                          for e in v), v))
+METRIC = ("a square matrix of expressions",
+          lambda v: _ok(isinstance(v, list) and all(len(EXPRS[1](r)) == len(v) for r in v), v))
+SHAPE = ("a list of integers >= 1", lambda v: _ok(isinstance(v, list), [COUNT[1](n) for n in v]))
+WINDOW = ("a list of [lo, hi] integer pairs",
+          lambda v: _ok(isinstance(v, list) and all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
+                                                    for p in v), v))
+
+
+# per command: the keys it needs besides order, the type of its order ("es4"
+# for tau-es4, None for none) and the tower depth above tau that it builds for
+# order k (k = 4 for "es4"; None: no tower)
+_MAPPED = ("domain", "target", "map")
+COMMANDS = {
+    "tension": (_MAPPED, None, None),
+    "tower": (_MAPPED, COUNT, lambda k: k - 1),
+    "tau-k": (_MAPPED, COUNT, lambda k: k - 1),
+    "tau-es4": (_MAPPED, "es4", lambda k: k - 1),
+    "energy": (_MAPPED, ORDER, lambda k: k // 2 - 1),
+    "variation-check": (_MAPPED + ("variation",), ORDER, None),
+    "reduce-residual": (_MAPPED, COUNT, lambda k: k - 1),
+    "aronszajn": (_MAPPED, COUNT, lambda k: k - 2),
+    "pair-bound": (_MAPPED + ("map2",), COUNT, lambda k: k - 2),
+    "equator-check": (_MAPPED + ("window",), COUNT, lambda k: k - 2),
+    "latitude-search": (("latitude",), ORDER, None),
+    "flow": (_MAPPED + ("flow",), ORDER, lambda k: k - 1),
+}
+
+# each nested block (per kind for domain and target): (required keys, optional
+# keys), each with its type; an absent optional key takes the default of the
+# function the block is passed to
+_METRIC_MODEL = {"dim": COUNT, "metric": METRIC}
+_MAP = ({}, {"exprs": EXPRS, "grid_file": TEXT})
+BLOCKS = {
+    "domain": {"flat_torus": ({"dim": COUNT}, {"period": NUMBER}),
+               "sphere_cap": ({"dim": COUNT, "alpha": NUMBER}, {}),
+               "user_metric": (_METRIC_MODEL, {"lo": NUMBERS, "hi": NUMBERS, "periodic": FLAG, "name": TEXT})},
+    "target": {"euclidean": ({"dim": COUNT}, {}),
+               "round_sphere_polar": ({"dim": COUNT}, {"collar": NUMBER}),
+               "space_form": ({"dim": COUNT, "curvature": NUMBER}, {"collar": NUMBER}),
+               "user_metric": (_METRIC_MODEL, {"name": TEXT, "jet_order": COUNT})},
+    "map": _MAP, "map2": _MAP,
+    "flow": ({"dt": POSITIVE, "steps": COUNT}, {}),
+    "variation": ({"exprs": EXPRS}, {"t": POSITIVE}),
+    "latitude": ({"m": COUNT}, {"order": ORDER}),
+}
+
+# the top-level keys besides command and order; a block's type is ``typed``
+TOP = {"grid_shape": SHAPE, "eval_mode": _one_of("analytic_jet", "grid_fd"), "fd_order": _one_of(*SUPPORTED_ORDERS),
+       "window": WINDOW, "kind": _one_of(*KINDS), "out": TEXT,
+       **{k: ("an object", lambda spec, k=k: typed(k, spec)) for k in BLOCKS}}
+
+
+def _read(path: str, typ: tuple, value, diags: list[str]):
+    try:
+        return typ[1](value)
+    except ConfigurationError as exc:  # a block names its own defects
+        diags.append(str(exc))
+    except (TypeError, ValueError, OverflowError):
+        diags.append(f"{path} must be {typ[0]}, got {value!r}")
+
+
+def typed(name: str, spec) -> dict:
+    """The typed keys of a nested block, its ``kind`` included (an absent
+    optional key stays absent); a ConfigurationError names every defect."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"{name} spec must be an object")
+    rows, out, diags = BLOCKS[name], {}, []
+    if isinstance(rows, dict):
+        out["kind"] = kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in rows:
+            raise ConfigurationError(f"{name} spec needs a 'kind'" if kind is None else f"unknown {name} kind {kind!r}")
+        rows = rows[kind]
+    required, optional = rows
+    if unknown := set(spec) - set(out) - set(required) - set(optional):
+        diags.append(f"unknown {name} keys: {sorted(unknown)}")
+    if missing := set(required) - set(spec):
+        diags.append(f"missing {name} keys: {sorted(missing)}")
+    if rows is _MAP and ("exprs" in spec) == ("grid_file" in spec):
+        diags.append(f"{name} spec needs one of 'exprs' and 'grid_file'")
+    out.update((k, _read(f"{name}.{k}", t, spec[k], diags)) for k, t in {**required, **optional}.items() if k in spec)
+    for k in ("metric", "lo", "hi"):
+        if isinstance(out.get(k), list) and _is_int(out.get("dim")) and len(out[k]) != out["dim"]:
+            diags.append(f"{name}.{k} needs one entry per coordinate ({out['dim']}), got {len(out[k])}")
+    if diags:
+        raise ConfigurationError("; ".join(diags))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# model building
+# ---------------------------------------------------------------------------
 
 
 def parse_exprs(strings, coords):
@@ -93,72 +210,34 @@ def parse_exprs(strings, coords):
     return out
 
 
-# the keys each builder reads of a nested block (per kind for domain and
-# target) and ``cli.run`` of the others; validate rejects any other key
-BLOCK_KEYS = {
-    "domain": {"flat_torus": "dim period", "sphere_cap": "dim alpha",
-               "user_metric": "dim metric lo hi periodic name"},
-    "target": {"euclidean": "dim", "round_sphere_polar": "dim collar", "space_form": "dim curvature collar",
-               "user_metric": "dim metric name jet_order"},
-    "map": "exprs grid_file", "map2": "exprs grid_file", "flow": "dt steps", "variation": "exprs t",
-    "latitude": "m order",
-}
+def _metric_model(build, prefix: str, dim: int, metric, *args, **kwargs):
+    coords = tuple(sp.symbols(f"{prefix}1:{dim + 1}", real=True))
+    return build([parse_exprs(row, coords) for row in metric], coords, *args, **kwargs)
+
+
+def _user_domain(dim, metric, lo=None, hi=None, periodic=True, **name) -> geometry.DomainModel:
+    box = geometry.ChartBox(tuple(lo or [0.0] * dim), tuple(hi or [2 * math.pi] * dim), periodic)
+    return _metric_model(geometry.domain_from_metric, "x", dim, metric, box, **name)
 
 
 def build_domain(spec: dict) -> geometry.DomainModel:
-    if not spec or "kind" not in spec:
-        raise ConfigurationError("domain spec needs a 'kind'")
-    kind = spec["kind"]
-    if kind == "flat_torus":
-        return geometry.flat_torus(int(spec["dim"]), spec.get("period", 2 * 3.141592653589793))
-    if kind == "sphere_cap":
-        return geometry.sphere_cap_domain(int(spec["dim"]), float(spec["alpha"]))
-    if kind == "user_metric":
-        metric, coords = _user_metric(spec, "x")
-        box = geometry.ChartBox(
-            lo=tuple(float(v) for v in spec.get("lo", [0.0] * len(coords))),
-            hi=tuple(float(v) for v in spec.get("hi", [2 * 3.141592653589793] * len(coords))),
-            periodic=bool(spec.get("periodic", True)),
-        )
-        return geometry.domain_from_metric(metric, coords, box, spec.get("name", "user_domain"))
-    raise ConfigurationError(f"unknown domain kind {kind!r}")
+    s = typed("domain", spec)
+    return {"flat_torus": geometry.flat_torus, "user_metric": _user_domain,
+            "sphere_cap": lambda dim, alpha: geometry.sphere_cap_domain(dim, alpha)}[s.pop("kind")](**s)
 
 
 def build_target(spec: dict) -> geometry.TargetModel:
-    if not spec or "kind" not in spec:
-        raise ConfigurationError("target spec needs a 'kind'")
-    kind = spec["kind"]
-    if kind == "euclidean":
-        return geometry.euclidean(int(spec["dim"]))
-    if kind == "round_sphere_polar":
-        return geometry.round_sphere_polar(int(spec["dim"]), float(spec.get("collar", 1e-3)))
-    if kind == "space_form":
-        return geometry.space_form(int(spec["dim"]), float(spec["curvature"]),
-                                   float(spec.get("collar", 1e-3)))
-    if kind == "user_metric":
-        metric, coords = _user_metric(spec, "y")
-        return geometry.target_from_metric(metric, coords, spec.get("name", "user_target"),
-                                           jet_order=int(spec.get("jet_order", 6)))
-    raise ConfigurationError(f"unknown target kind {kind!r}")
+    s = typed("target", spec)
+    return {"euclidean": geometry.euclidean, "round_sphere_polar": geometry.round_sphere_polar,
+            "space_form": geometry.space_form,
+            "user_metric": lambda **kw: _metric_model(geometry.target_from_metric, "y", **kw)}[s.pop("kind")](**s)
 
 
 def build_map(cfg: ExperimentConfig, dom, tgt, which: str = "map") -> GridMap:
-    spec = getattr(cfg, which)
-    if spec is None:
-        raise ConfigurationError(f"command {cfg.command!r} needs a {which!r} spec")
-    if "grid_file" in spec:
-        from .serialize import load_gridmap
-
-        return load_gridmap(spec["grid_file"], dom, tgt)
-    if "exprs" not in spec:
-        raise ConfigurationError(f"{which} spec needs 'exprs' or 'grid_file'")
-    exprs = parse_exprs(spec["exprs"], dom.coords)
-    if len(exprs) != tgt.dim:
-        raise ConfigurationError(
-            f"{which} has {len(exprs)} components but the target has dimension {tgt.dim}")
-    if not cfg.grid_shape:
-        raise ConfigurationError("config needs a nonempty grid_shape")
-    return GridMap.from_exprs(dom, tgt, cfg.grid_shape, exprs,
+    s = typed(which, getattr(cfg, which))
+    if "grid_file" in s:
+        return load_gridmap(s["grid_file"], dom, tgt)
+    return GridMap.from_exprs(dom, tgt, cfg.grid_shape, parse_exprs(s["exprs"], dom.coords),
                               eval_mode=cfg.eval_mode, fd_order=cfg.fd_order)
 
 
@@ -166,100 +245,53 @@ def build_map(cfg: ExperimentConfig, dom, tgt, which: str = "map") -> GridMap:
 # static validation
 # ---------------------------------------------------------------------------
 
-_NEEDS_MAP = set(COMMANDS) - {"latitude-search"}
-_NEEDS_ORDER = {"tower", "tau-k", "energy", "variation-check", "reduce-residual",
-                "aronszajn", "pair-bound", "equator-check", "flow", "latitude-search"}
-_INT_ORDER = {"tower", "tau-k", "reduce-residual", "aronszajn", "pair-bound", "equator-check"}
 
-
-def tower_depth(command: str, k: int) -> int | None:
-    """The tower depth above tau that ``command`` builds for order k ("es4":
-    k = 4); None for a command that builds no tower."""
-    if command == "energy":
-        return k // 2 - 1
-    if command in ("aronszajn", "pair-bound", "equator-check"):
-        return k - 2
-    return k - 1 if command in ("tower", "tau-k", "tau-es4", "reduce-residual", "flow") else None
-
-
-def _unknown_keys(block: str, spec) -> list[str]:
-    if not isinstance(spec, dict):
-        return [f"{block} spec must be an object"]
-    keys = BLOCK_KEYS[block]
-    if isinstance(keys, dict):
-        kind = spec.get("kind")
-        if not (isinstance(kind, str) and kind in keys):
-            return []  # the builder reports a missing or unknown kind
-        keys = "kind " + keys[kind]
-    unknown = set(spec) - set(keys.split())
-    return [f"unknown {block} keys: {sorted(unknown)}"] if unknown else []
+def check(cfg: ExperimentConfig) -> tuple[list[str], dict]:
+    """Static diagnostics (no computation) and the typed value of every
+    top-level key and block, with ``order`` the order the command reads."""
+    if not isinstance(cfg.command, str) or cfg.command not in COMMANDS:
+        return [f"unknown command {cfg.command!r}"], {}
+    (needs, order_type, depth), diags = COMMANDS[cfg.command], []
+    v = {k: None if getattr(cfg, k) is None else _read(k, t, getattr(cfg, k), diags) for k, t in TOP.items()}
+    diags += [f"command {cfg.command!r} needs a {k!r} spec" for k in needs if getattr(cfg, k) is None]
+    order = order_type
+    if isinstance(order_type, tuple):
+        raw = (v["latitude"] or {}).get("order", cfg.order) if cfg.command == "latitude-search" else cfg.order
+        if raw is None:
+            diags.append(f"command {cfg.command!r} needs an order")
+        order = None if raw is None else _read("order", order_type, raw, diags)
+    v["order"] = order
+    tgt, grid = v["target"] or {}, v["grid_shape"]
+    if v["domain"] and grid and len(grid) != v["domain"]["dim"]:
+        diags.append(f"grid_shape has {len(grid)} axes but the domain has dimension {v['domain']['dim']}")
+    for k in ("map", "map2", "variation"):
+        s = v[k] or {}
+        if tgt and "exprs" in s and len(s["exprs"]) != tgt["dim"]:
+            diags.append(f"{k}.exprs has {len(s['exprs'])} components but the target has dimension {tgt['dim']}")
+    if "exprs" in (v["map"] or {}) and not cfg.grid_shape:
+        diags.append("config needs a nonempty grid_shape")
+    # capability diagnostics
+    if order == "es4" and tgt.get("jet_order", geometry.DEFAULT_JET_ORDER) < 2:  # user_metric targets only
+        diags.append("capability: ES-4 operations need target Christoffel jets of order >= 2 "
+                     f"(configured jet_order={tgt['jet_order']})")
+    if cfg.command == "variation-check" and cfg.eval_mode == "grid_fd":
+        diags.append("capability: variation-check needs analytic_jet mode")
+    # resolution policy, at the depth the command builds (a flow always runs on stencils)
+    if order is not None and depth is not None and grid:
+        try:
+            check_tower_resolution("grid_fd" if cfg.command == "flow" else cfg.eval_mode, grid,
+                                   depth(4 if order == "es4" else order))
+        except ConfigurationError as exc:
+            diags.append(f"resolution policy: {exc}")
+    # window bounds
+    if v["window"] is not None and grid:
+        if len(v["window"]) != len(grid):
+            diags.append("window must give one index range per axis")
+        diags += [f"window range [{lo}, {hi}) outside axis of {nn} nodes"
+                  for (lo, hi), nn in zip(v["window"], grid) if not 0 <= lo < hi <= nn]
+    return diags, v
 
 
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Static diagnostics (no computation).  An empty list means runnable."""
-    diags: list[str] = []
-    if cfg.command not in COMMANDS:
-        diags.append(f"unknown command {cfg.command!r}")
-        return diags
-    if cfg.eval_mode not in ("analytic_jet", "grid_fd"):
-        diags.append(f"unknown eval_mode {cfg.eval_mode!r}")
-    for block in BLOCK_KEYS:
-        if getattr(cfg, block) is not None:
-            diags += _unknown_keys(block, getattr(cfg, block))
-    if cfg.command in _NEEDS_MAP:
-        if cfg.map is None:
-            diags.append(f"command {cfg.command!r} needs a map spec")
-        if cfg.domain is None or cfg.target is None:
-            diags.append(f"command {cfg.command!r} needs domain and target specs")
-    order = cfg.order
-    if cfg.command == "latitude-search" and isinstance(cfg.latitude, dict):
-        order = cfg.latitude.get("order", order)
-    if cfg.command in _NEEDS_ORDER and order is None:
-        diags.append(f"command {cfg.command!r} needs an order")
-    k_numeric = None
-    if order == "es4" and cfg.command in _INT_ORDER:
-        diags.append(f"command {cfg.command!r} needs an integer order, got 'es4'")
-    elif order is not None and order != "es4":
-        try:
-            k_numeric = int(order)
-        except (TypeError, ValueError):
-            diags.append(f"order must be an integer or 'es4', got {order!r}")
-    # capability diagnostics
-    es4_requested = cfg.command == "tau-es4" or order == "es4"
-    if es4_requested and cfg.target and cfg.target.get("kind") == "user_metric":
-        if int(cfg.target.get("jet_order", 6)) < 2:
-            diags.append("capability: ES-4 operations need target Christoffel jets of order >= 2 "
-                         f"(configured jet_order={cfg.target.get('jet_order')})")
-    if cfg.command == "variation-check" and cfg.eval_mode == "grid_fd":
-        diags.append("capability: variation-check needs analytic_jet mode")
-    # resolution policy, at the depth the command builds (a flow always runs on stencils)
-    k = 4 if es4_requested else k_numeric
-    depth = None if k is None else tower_depth(cfg.command, k)
-    if depth is not None and cfg.grid_shape:
-        try:
-            check_tower_resolution("grid_fd" if cfg.command == "flow" else cfg.eval_mode, cfg.grid_shape, depth)
-        except ConfigurationError as exc:
-            diags.append(f"resolution policy: {exc}")
-    # window bounds
-    if cfg.window is not None and cfg.grid_shape:
-        if len(cfg.window) != len(cfg.grid_shape):
-            diags.append("window must give one index range per axis")
-        else:
-            for (lo, hi), nn in zip(cfg.window, cfg.grid_shape):
-                if not (0 <= lo < hi <= nn):
-                    diags.append(f"window range [{lo}, {hi}) outside axis of {nn} nodes")
-    if cfg.command == "pair-bound" and cfg.map2 is None:
-        diags.append("pair-bound needs a map2 spec")
-    if cfg.command == "equator-check" and cfg.window is None:
-        diags.append("equator-check needs a window")
-    if cfg.command == "variation-check":
-        t = cfg.variation.get("t", 1e-5) if isinstance(cfg.variation, dict) else None
-        if not (cfg.variation and cfg.variation.get("exprs")):
-            diags.append("variation-check needs variation exprs")
-        elif not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
-            diags.append(f"variation.t must be a finite number > 0, got {t!r}")
-    if cfg.command == "flow" and not (cfg.flow and "dt" in cfg.flow and "steps" in cfg.flow):
-        diags.append("flow needs flow.dt and flow.steps")
-    if cfg.command == "latitude-search" and not (cfg.latitude and "m" in cfg.latitude):
-        diags.append("latitude-search needs latitude.m (and latitude.order or order)")
-    return diags
+    return check(cfg)[0]

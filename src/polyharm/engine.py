@@ -24,7 +24,7 @@ import functools
 import sympy as sp
 
 from .errors import CapabilityError
-from .geometry import DomainModel, TargetModel, _flatten, _nesting_shape, lambdify_tensor
+from .geometry import DomainModel, TargetModel, _flatten, _map_nested, _nesting_shape, lambdify_tensor
 
 __all__ = ["MapEngine"]
 
@@ -63,11 +63,6 @@ class MapEngine:
     def _compose(self, expr):
         return expr.subs(self._sub) if expr != 0 else sp.S.Zero
 
-    def _compose_nested(self, obj):
-        if isinstance(obj, list):
-            return [self._compose_nested(o) for o in obj]
-        return self._compose(obj)
-
     @functools.cached_property
     def ginv(self):
         return self.dom.metric_inv_exprs
@@ -78,19 +73,19 @@ class MapEngine:
 
     @functools.cached_property
     def gamma_c(self):
-        return self._compose_nested(self.tgt.christoffel_exprs)
+        return _map_nested(self._compose, self.tgt.christoffel_exprs)
 
     @functools.cached_property
     def s_tensor_c(self):
-        return self._compose_nested(self.tgt.s_tensor_exprs)
+        return _map_nested(self._compose, self.tgt.s_tensor_exprs)
 
     @functools.cached_property
     def riemann_c(self):
-        return self._compose_nested(self.tgt.riemann_exprs)
+        return _map_nested(self._compose, self.tgt.riemann_exprs)
 
     @functools.cached_property
     def nabla_riemann_c(self):
-        return self._compose_nested(self.tgt.nabla_riemann_exprs)
+        return _map_nested(self._compose, self.tgt.nabla_riemann_exprs)
 
     # -- first order calculus --------------------------------------------------
 

@@ -152,9 +152,7 @@ class GridMap:
     def replace_values(self, values: np.ndarray) -> "GridMap":
         """A new grid_fd map with the same charts and updated node values
         (the grid may be a subsample)."""
-        values = np.asarray(values, dtype=float)
-        return GridMap(self.dom, self.tgt, values.shape[1:], values, "grid_fd", None,
-                       self.winding.copy(), self.fd_order)
+        return GridMap.from_values(self.dom, self.tgt, values, self.winding.copy(), self.fd_order)
 
     def resample(self, grid_shape: Sequence[int]) -> "GridMap":
         """The same closed-form map on a different grid; analytic maps share

@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _DEFAULT_COLLAR = 1e-3
+DEFAULT_JET_ORDER = 6
 
 
 def _sym_zeros(shape):
@@ -344,7 +345,7 @@ class TargetModel(ChartModel):
     """
 
     def __init__(self, dim, coords, metric_exprs, kind, name, curvature_const=None,
-                 collar=_DEFAULT_COLLAR, jet_order=6):
+                 collar=_DEFAULT_COLLAR, jet_order=DEFAULT_JET_ORDER):
         super().__init__(dim, coords, metric_exprs)
         self.kind = kind
         self.name = name
@@ -517,6 +518,7 @@ def space_form(dim: int, curvature: float, collar: float = _DEFAULT_COLLAR) -> T
                        curvature_const=curvature, collar=collar)
 
 
-def target_from_metric(metric_exprs, coords, name: str = "user_target", jet_order: int = 6) -> TargetModel:
+def target_from_metric(metric_exprs, coords, name: str = "user_target",
+                       jet_order: int = DEFAULT_JET_ORDER) -> TargetModel:
     return TargetModel(len(coords), coords, metric_exprs, "user_metric", name, jet_order=jet_order)
 

@@ -194,9 +194,12 @@ def build_rhs(gmap: GridMap, k: int, kind: str = "plain") -> BlockRHS:
     ``fields``: closed forms in analytic_jet mode, stencils in grid_fd mode."""
     if kind not in KINDS:
         raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
+    return _rhs_from_tower(gmap, k, kind, _tower_for_reduction(gmap, k))
+
+
+def _rhs_from_tower(gmap: GridMap, k: int, kind: str, tower: TensionTower) -> BlockRHS:
     if kind == "equator":
         _equator_precheck(gmap)
-    tower = _tower_for_reduction(gmap, k)
     u = [sec.values for sec in tower.u]
     v = [vg.values for vg in tower.v]
     a = [sec.values for sec in tower.a]
@@ -243,8 +246,11 @@ def residual(gmap: GridMap, k: int, kind: str = "plain") -> np.ndarray:
     if kind == "extended":
         raise ConfigurationError(
             "extended-kind residual is a two-map identity; use pair_difference_bound")
-    z = build_reduced(gmap, k, kind)
-    rhs = build_rhs(gmap, k, kind)
+    if kind not in KINDS:
+        raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
+    tower = _tower_for_reduction(gmap, k)
+    z = _reduced_from_tower(gmap, k, kind, tower)
+    rhs = _rhs_from_tower(gmap, k, kind, tower)
     tau = tau_k(gmap, k).values
     source = tau[-1:] if kind == "equator" else tau
     out = np.zeros(gmap.grid_shape)
@@ -431,7 +437,7 @@ def equator_bound(gmap: GridMap, k: int, window) -> EquatorReport:
                  for name, b in zip(z.names, z.blocks)}
     max_on_w = max(block_max.values())
 
-    rhs = build_rhs(gmap, k, "equator")
+    rhs = _rhs_from_tower(gmap, k, "equator", tower)
     num = np.zeros(gs)
     for fb, lin in zip(rhs.blocks, rhs.linear_corrections):
         num = np.maximum(num, _abs_block(fb + lin, gs))

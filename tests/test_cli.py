@@ -566,3 +566,30 @@ def test_latitude_search_needs_an_order(tmp_path, capsys):
 def test_integer_order_commands_reject_es4(tmp_path, command):
     code, out = _main(tmp_path, {"command": command, "order": "es4", **CIRCLE_SPHERE})
     assert code == 2 and not out.exists()
+
+
+_FLOW = {"command": "flow", "order": 2, "eval_mode": "grid_fd", "flow": {"dt": 1e-4, "steps": 1}, **CIRCLE_SPHERE}
+
+
+@pytest.mark.parametrize("key,spec", [
+    ("order", {"command": "tau-k", "order": 2.7, **CIRCLE_SPHERE}),
+    ("order", {"command": "tau-k", "order": True, **CIRCLE_SPHERE}),
+    ("variation.exprs", {"command": "variation-check", "order": 1, "variation": {"exprs": ["sin(x1)"]},
+                         **CIRCLE_SPHERE}),
+    ("dim", {"command": "tension", **CIRCLE_SPHERE, "domain": {"kind": "flat_torus"}}),
+    ("flow.steps", {**_FLOW, "flow": {"dt": 1e-4, "steps": 2.5}}),
+    ("flow.dt", {**_FLOW, "flow": {"dt": "x", "steps": 1}}),
+    ("latitude.m", {"command": "latitude-search", "latitude": {"m": "two", "order": 2}}),
+    ("grid_shape", {"command": "tension", **CIRCLE_SPHERE, "grid_shape": [32.5]}),
+    ("grid_shape", {"command": "tension", **CIRCLE_SPHERE, "grid_shape": [0]}),
+    ("grid_shape", {"command": "tension", "grid_shape": [32], **TORUS_SPHERE}),
+    ("window", {"command": "equator-check", "order": 3, "window": [[0.5, 10]], **CIRCLE_SPHERE}),
+])
+def test_malformed_value_exits_2_without_writing(tmp_path, capsys, key, spec):
+    # each value is rejected up front, naming its key, and never truncated,
+    # coerced or read raw by a builder
+    assert any(key in d for d in cf.validate(_cfg(**spec)))
+    code, out = _main(tmp_path, spec)
+    assert code == 2 and not out.exists()
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error_type"] == "ConfigurationError" and key in record["message"], record
