@@ -30,7 +30,7 @@ from .config import COMMANDS, ExperimentConfig, build_domain, build_map, build_t
 from .errors import (CapabilityError, ChartDomainError, ConfigurationError, DegenerateInputError,
                      NumericalContractError, PolyharmError)
 from .fields import tension
-from .polytension import build_tower, es4_terms, tau_k
+from .polytension import build_tower, es4_terms, richardson_error, tau_k
 from .serialize import ResultArtifact
 
 EXIT_CODES = {ConfigurationError: 2, CapabilityError: 3, ChartDomainError: 4, NumericalContractError: 5,
@@ -82,15 +82,16 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
             records = _node_records(gmap, tau.values)
             summary = {"max_abs_tension": tau.max_norm()}
         elif command == "tower":
-            tower = build_tower(gmap, order, richardson=gmap.eval_mode == "grid_fd")
+            tower = build_tower(gmap, order)
             columns = ["level", "node", "component", "value"]
             records = [(i,) + rec for i, sec in enumerate(tower.u)
                        for rec in _node_records(gmap, sec.values)]
             summary = {"levels": len(tower.u)}
             summary.update((f"sup_norm_level_{i}", float(np.max(np.abs(sec.values))))
                            for i, sec in enumerate(tower.u))
-            if tower.richardson_error is not None:
-                summary["richardson_error"] = tower.richardson_error
+            error = richardson_error(gmap, order) if gmap.eval_mode == "grid_fd" else None
+            if error is not None:
+                summary["richardson_error"] = error
         elif command == "tau-k":
             sec = tau_k(gmap, order)
             columns = ["node", "component", "value"]

@@ -93,8 +93,15 @@ def _one_of(*values) -> tuple:
     return f"one of {list(values)}", lambda v: _ok(any(v == c and type(v) is type(c) for c in values), v)
 
 
-COUNT = ("an integer >= 1", lambda v: _ok(_is_int(v) and v >= 1, v))
-ORDER = ("an integer >= 1 or 'es4'", lambda v: _ok(v == "es4" or COUNT[1](v), v))
+def _count(lo: int) -> tuple:
+    return f"an integer >= {lo}", lambda v: _ok(_is_int(v) and v >= lo, v)
+
+
+def _order(lo: int) -> tuple:
+    return f"an integer >= {lo} or 'es4'", lambda v: _ok(v == "es4" or _count(lo)[1](v), v)
+
+
+COUNT, ORDER = _count(1), _order(1)
 NUMBER = ("a finite number", lambda v: _ok(_is_num(v), float(v)))
 POSITIVE = ("a finite number > 0", lambda v: _ok(_is_num(v) and v > 0, float(v)))
 NUMBERS = ("a list of finite numbers", lambda v: _ok(isinstance(v, list), [NUMBER[1](x) for x in v]))
@@ -110,22 +117,22 @@ WINDOW = ("a list of [lo, hi] integer pairs",
                                                     for p in v), v))
 
 
-# per command: the keys it needs besides order, the type of its order ("es4"
-# for tau-es4, None for none) and the tower depth above tau that it builds for
-# order k (k = 4 for "es4"; None: no tower)
+# per command: the keys it needs besides order, the type of its order with
+# the command's least order ("es4" for tau-es4, None for none) and the tower
+# depth above tau that it builds for order k (k = 4 for "es4"; None: no tower)
 _MAPPED = ("domain", "target", "map")
 COMMANDS = {
     "tension": (_MAPPED, None, None),
-    "tower": (_MAPPED, COUNT, lambda k: k - 1),
+    "tower": (_MAPPED, _count(2), lambda k: k - 1),
     "tau-k": (_MAPPED, COUNT, lambda k: k - 1),
     "tau-es4": (_MAPPED, "es4", lambda k: k - 1),
     "energy": (_MAPPED, ORDER, lambda k: k // 2 - 1),
     "variation-check": (_MAPPED + ("variation",), ORDER, None),
-    "reduce-residual": (_MAPPED, COUNT, lambda k: k - 1),
-    "aronszajn": (_MAPPED, COUNT, lambda k: k - 2),
-    "pair-bound": (_MAPPED + ("map2",), COUNT, lambda k: k - 2),
-    "equator-check": (_MAPPED + ("window",), COUNT, lambda k: k - 2),
-    "latitude-search": (("latitude",), ORDER, None),
+    "reduce-residual": (_MAPPED, _count(3), lambda k: k - 1),
+    "aronszajn": (_MAPPED, _count(3), lambda k: k - 2),
+    "pair-bound": (_MAPPED + ("map2",), _count(3), lambda k: k - 2),
+    "equator-check": (_MAPPED + ("window",), _count(3), lambda k: k - 2),
+    "latitude-search": (("latitude",), _order(2), None),
     "flow": (_MAPPED + ("flow",), ORDER, lambda k: k - 1),
 }
 
@@ -256,10 +263,12 @@ def check(cfg: ExperimentConfig) -> tuple[list[str], dict]:
     diags += [f"command {cfg.command!r} needs a {k!r} spec" for k in needs if getattr(cfg, k) is None]
     order = order_type
     if isinstance(order_type, tuple):
-        raw = (v["latitude"] or {}).get("order", cfg.order) if cfg.command == "latitude-search" else cfg.order
+        key, raw = "order", cfg.order
+        if cfg.command == "latitude-search" and "order" in (v["latitude"] or {}):
+            key, raw = "latitude.order", v["latitude"]["order"]
         if raw is None:
             diags.append(f"command {cfg.command!r} needs an order")
-        order = None if raw is None else _read("order", order_type, raw, diags)
+        order = None if raw is None else _read(key, order_type, raw, diags)
     v["order"] = order
     tgt, grid = v["target"] or {}, v["grid_shape"]
     if v["domain"] and grid and len(grid) != v["domain"]["dim"]:

@@ -19,7 +19,8 @@ forms differentiated again (the second fundamental form, Omega_0).
 Every operation is node-wise (up to a stencil halo).  What does not change
 is evaluated once and kept read-only: a :class:`GridPlan` holds the domain
 data of one grid (``grid_plan`` caches one per domain and grid shape), and
-each map keeps dphi, lap phi, Gamma at phi and tau on its instance, as it
+each map keeps dphi, lap phi, Gamma at phi, tau and the arrays of its
+deepest tension tower (``polytension.build_tower``) on its instance, as it
 keeps ``periodic_values``.  Every other result is a fresh container.
 """
 from __future__ import annotations

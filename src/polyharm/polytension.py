@@ -4,10 +4,11 @@ The tower realizes ``u_{i+1} = lap u_i + A(u_i, du_i)``, u_i the i-th
 iterated section Laplacian of the tension field.  ``analytic_jet`` maps
 build closed-form levels; every numeric caller (``grid_fd`` maps and the
 equivariant latitude point) runs the one loop ``tower_values`` with its own
-derivative primitives.  On top of the tower tau_k is assembled twice, by one
-kernel each for both modes: the abstract recursion with covariant
-derivatives and curvature traces (``tau_k_from_tower``) and the literal
-expansion lap u_{k-2} - F^k with the v-variables and the E-tensor
+derivative primitives; ``build_tower`` keeps each map's deepest tower, so
+every caller reads one tower per map.  On top of it tau_k is assembled
+twice, by one kernel each for both modes: the abstract recursion with
+covariant derivatives and curvature traces (``tau_k_from_tower``) and the
+literal expansion lap u_{k-2} - F^k with the v-variables and the E-tensor
 (``fk_literal_values``); the two routes are each other's oracle.
 
 The ES-4 field has one body over node leaves, ``es4_values`` (T, Omega_0,
@@ -26,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stencils
-from .errors import ConfigurationError, NumericalContractError
+from .errors import CapabilityError, ConfigurationError, NumericalContractError
 from .fields import (
     BundleSection,
     GridMap,
     VGrid,
+    _read_only,
     a_term_data,
     a_term_values,
     codifferential,
@@ -55,6 +57,7 @@ __all__ = [
     "a_term",
     "top_a_term",
     "build_tower",
+    "richardson_error",
     "tau_even",
     "tau_odd",
     "tau_k",
@@ -91,7 +94,6 @@ class TensionTower:
     u: list[BundleSection]
     v: list[VGrid]
     a: list[BundleSection]
-    richardson_error: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +174,16 @@ def a_term(u_prev: BundleSection, gmap: GridMap) -> BundleSection:
     return BundleSection(gmap, a_term_values(u_prev.values, xi, *a_term_data(gmap)))
 
 
-def top_a_term(gmap: GridMap, tower: TensionTower) -> BundleSection:
-    """A_k = A(u_{k-1}, du_{k-1}) above the top level of an order-k tower.
+def top_a_term(gmap: GridMap, k: int) -> BundleSection:
+    """A_k = A(u_{k-1}, du_{k-1}) above the top level of the order-k tower.
     analytic_jet mode evaluates the closed form A_k inside the level u_k that
     tau_{k+1} reads, so the reduced system's top row pairs two values with
     the same evaluator error (README "Known defect"; a kernel A_k is off by
     up to 1.1e-2 from it on a circle map).  grid_fd mode applies the kernel."""
     if gmap.eval_mode == "analytic_jet":
-        exprs = gmap.engine.a_of_level(tower.k)
+        exprs = gmap.engine.a_of_level(k)
         return BundleSection(gmap, gmap.eval_exprs(exprs), exprs=exprs)
-    return a_term(tower.u[-1], gmap)
+    return a_term(build_tower(gmap, k).u[-1], gmap)
 
 
 def check_tower_resolution(eval_mode: str, grid_shape, depth: int) -> None:
@@ -194,26 +196,36 @@ def check_tower_resolution(eval_mode: str, grid_shape, depth: int) -> None:
             f"grid_fd tower of depth {depth} needs >= {need} nodes per axis, got {min(grid_shape)}")
 
 
-def build_tower(gmap: GridMap, k: int, richardson: bool = False) -> TensionTower:
+def build_tower(gmap: GridMap, k: int) -> TensionTower:
     """Tower u_0 .. u_{k-1} for the order-k tension field.
 
-    In grid_fd mode the resolution policy (>= 16 nodes per axis and tower
-    level) is enforced and an a-posteriori Richardson estimate of the top
-    level can be attached (it stays None when the grid cannot be halved).
+    Each map keeps the node arrays of the deepest tower built for it,
+    read-only on its instance like the ``fields`` memo: a lower order reads
+    their prefix, a higher order builds the tower anew and replaces them.
+    The memo holds plain arrays, not sections, whose ``base`` would make the
+    cycle map -> tower -> section -> map that only the cyclic garbage
+    collector frees.  In grid_fd mode the resolution policy (>= 16 nodes per
+    axis and tower level) is enforced.
     """
     if k < 2:
         raise ConfigurationError("tower order must be >= 2")
     check_tower_resolution(gmap.eval_mode, gmap.grid_shape, k - 1)
+    u, v, a = gmap.__dict__.get("_memo_tower", ((), (), ()))
+    if len(u) < k:
+        u, v, a = gmap.__dict__["_memo_tower"] = tuple(list(map(_read_only, t)) for t in _tower_arrays(gmap, k))
+    exprs = gmap.engine.tower(k - 1) if gmap.eval_mode == "analytic_jet" else ([None] * k,) * 3
+    return TensionTower(k, [BundleSection(gmap, x, exprs=e) for x, e in zip(u[:k], exprs[0])],
+                        [VGrid(gmap, x, exprs=e) for x, e in zip(v[:k - 1], exprs[1])],
+                        [BundleSection(gmap, x, exprs=e) for x, e in zip(a[:k - 1], exprs[2])])
+
+
+def _tower_arrays(gmap: GridMap, k: int) -> tuple[list, list, list]:
+    """Node arrays u, v and A of the order-k tower: the closed-form levels
+    evaluated in analytic_jet mode, ``tower_values`` on stencils in grid_fd."""
     if gmap.eval_mode == "analytic_jet":
-        u_exprs, v_exprs, a_exprs = gmap.engine.tower(k - 1)
-        u = [BundleSection(gmap, gmap.eval_exprs(e), exprs=e) for e in u_exprs]
-        v = [VGrid(gmap, gmap.eval_exprs(e), exprs=e) for e in v_exprs]
-        a = [BundleSection(gmap, gmap.eval_exprs(e), exprs=e) for e in a_exprs]
-        return TensionTower(k, u, v, a)
-    tower = _build_tower_fd(gmap, k)
-    if richardson:
-        tower.richardson_error = _richardson_estimate(gmap, k, tower.u[-1].values)
-    return tower
+        return tuple([gmap.eval_exprs(e) for e in t] for t in gmap.engine.tower(k - 1))
+    return tower_values(tension(gmap).values, a_term_data(gmap), functools.partial(grid_partials, gmap),
+                        functools.partial(grid_laplacians, gmap), k)
 
 
 def tower_values(u0, data, partials, laplacians, k: int) -> tuple[list, list, list]:
@@ -230,26 +242,21 @@ def tower_values(u0, data, partials, laplacians, k: int) -> tuple[list, list, li
     return u, v, a
 
 
-def _build_tower_fd(gmap: GridMap, k: int) -> TensionTower:
-    u, v, a = tower_values(tension(gmap).values, a_term_data(gmap), functools.partial(grid_partials, gmap),
-                           functools.partial(grid_laplacians, gmap), k)
-    return TensionTower(k, [BundleSection(gmap, x) for x in u], [VGrid(gmap, x) for x in v],
-                        [BundleSection(gmap, x) for x in a])
-
-
-def _richardson_estimate(gmap: GridMap, k: int, top_fine: np.ndarray) -> float | None:
-    """Top-level error estimate from the top level ``top_fine`` of the grid's
-    tower and the tower of its every-other-node subsample; None when the
-    subsample is too coarse for the tower."""
+def richardson_error(gmap: GridMap, k: int) -> float | None:
+    """A-posteriori error estimate of the top level of a grid_fd map's
+    order-k tower, from that tower and the tower of its every-other-node
+    subsample; None when the subsample is too coarse for the tower."""
+    if gmap.eval_mode != "grid_fd":
+        raise CapabilityError("the Richardson estimate needs a grid_fd map")
+    top_fine = build_tower(gmap, k).u[-1].values
     if any(s % 2 or s < 2 * stencils.stencil_width(gmap.fd_order) for s in gmap.grid_shape):
         return None
     slicer = tuple([slice(None)] + [slice(None, None, 2)] * gmap.dom.dim)
     coarse = gmap.replace_values(gmap.values[slicer])
     try:
-        check_tower_resolution(coarse.eval_mode, coarse.grid_shape, k - 1)
-    except ConfigurationError:
+        top_c = build_tower(coarse, k).u[-1].values
+    except ConfigurationError:  # the subsample is below the resolution policy
         return None
-    top_c = _build_tower_fd(coarse, k).u[-1].values
     return float(np.max(np.abs(top_fine[slicer] - top_c)) / (2 ** gmap.fd_order - 1))
 
 

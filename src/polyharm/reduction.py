@@ -35,13 +35,7 @@ from .fields import (
     section_partials,
     target_christoffel,
 )
-from .polytension import (
-    TensionTower,
-    build_tower,
-    fk_literal_values,
-    tau_k,
-    top_a_term,
-)
+from .polytension import build_tower, fk_literal_values, tau_k, top_a_term
 
 __all__ = [
     "ReducedVector",
@@ -110,36 +104,26 @@ def reduced_dimension(kind: str, k: int, m: int, n: int) -> int:
     raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
 
 
-def _tower_for_reduction(gmap: GridMap, k: int) -> TensionTower:
-    """Tower levels u_0..u_{k-2}; the top A-term A_{k-1} is
-    ``top_a_term(gmap, tower)``, formed only where a right-hand side needs it."""
+def _require(gmap: GridMap, k: int, kind: str) -> None:
+    """The order and kind of a reduced system (and the target of its equator kind)."""
+    if kind not in KINDS:
+        raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
     if k < 3:
         raise ConfigurationError("reduction needs order k >= 3")
-    return build_tower(gmap, k - 1)
-
-
-def _equator_precheck(gmap: GridMap) -> None:
-    if gmap.tgt.kind != "round_sphere_polar":
+    if kind == "equator" and gmap.tgt.kind != "round_sphere_polar":
         raise ConfigurationError("equator reduction needs a round_sphere_polar target")
 
 
 def build_reduced(gmap: GridMap, k: int, kind: str = "plain") -> ReducedVector:
-    """Assemble the reduced vector from the tower.
+    """Assemble the reduced vector from the map's tower u_0..u_{k-2}.
 
     plain:    (u_0, v_0, u_1, v_1, ..., v_{k-3}, u_{k-2})
     extended: (phi, dphi) prepended
-    equator:  (f, df, u_0^n, v_0^n, ..., u_{k-2}^n) with f = phi^n - pi/2
+    equator:  (f, df, u_0^n, v_0^n, ..., u_{k-2}^n) with f = phi^n - pi/2,
+              the normal (last) component of every extended block
     """
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
-    return _reduced_from_tower(gmap, k, kind, _tower_for_reduction(gmap, k))
-
-
-def _reduced_from_tower(gmap: GridMap, k: int, kind: str, tower: TensionTower) -> ReducedVector:
-    """The equator kind is the normal (last) component of every extended
-    block, with the map row shifted to f = phi^n - pi/2."""
-    if kind == "equator":
-        _equator_precheck(gmap)
+    _require(gmap, k, kind)
+    tower = build_tower(gmap, k - 1)
     u = [sec.values for sec in tower.u]
     v = [vg.values for vg in tower.v]
     names: list[str] = []
@@ -179,11 +163,6 @@ def _commutator_values(gmap: GridMap, w: np.ndarray, dw: np.ndarray) -> np.ndarr
     return out
 
 
-def _lap_phi_identity(gmap: GridMap, tower: TensionTower) -> np.ndarray:
-    """lap phi^a = -u_0^a + g^{ij} Gamma^a_{bg} dphi^b_i dphi^g_j, analytically."""
-    return -tower.u[0].values + gamma_trace(gmap.plan.ginv, target_christoffel(gmap), dphi_values(gmap))
-
-
 def build_rhs(gmap: GridMap, k: int, kind: str = "plain") -> BlockRHS:
     """The F-blocks of the second-order reduction and the shared linear
     commutator corrections; the equator kind is the normal (last) component
@@ -191,19 +170,14 @@ def build_rhs(gmap: GridMap, k: int, kind: str = "plain") -> BlockRHS:
 
     The differential rows and the commutator terms differentiate tower
     levels, lap phi and dphi through the derivative primitives of
-    ``fields``: closed forms in analytic_jet mode, stencils in grid_fd mode."""
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
-    return _rhs_from_tower(gmap, k, kind, _tower_for_reduction(gmap, k))
-
-
-def _rhs_from_tower(gmap: GridMap, k: int, kind: str, tower: TensionTower) -> BlockRHS:
-    if kind == "equator":
-        _equator_precheck(gmap)
+    ``fields``: closed forms in analytic_jet mode, stencils in grid_fd mode.
+    The top row reads A_{k-1} from ``top_a_term``."""
+    _require(gmap, k, kind)
+    tower = build_tower(gmap, k - 1)
     u = [sec.values for sec in tower.u]
     v = [vg.values for vg in tower.v]
     a = [sec.values for sec in tower.a]
-    fk = fk_literal_values(gmap, k, u, v, top_a_term(gmap, tower).values)
+    fk = fk_literal_values(gmap, k, u, v, top_a_term(gmap, k - 1).values)
     flat = gmap.dom.is_flat_euclidean
 
     def diff_block(j: int) -> np.ndarray:
@@ -225,7 +199,8 @@ def _rhs_from_tower(gmap: GridMap, k: int, kind: str, tower: TensionTower) -> Bl
 
     if kind != "plain":
         dphi = differential(gmap)
-        lap_phi = _lap_phi_identity(gmap, tower)
+        # lap phi^a = -u_0^a + g^{ij} Gamma^a_{bg} dphi^b_i dphi^g_j, analytically
+        lap_phi = -u[0] + gamma_trace(gmap.plan.ginv, target_christoffel(gmap), dphi_values(gmap))
         push(lap_phi)
         push(map_laplacian_partials(gmap, lap_phi), commutator(dphi.values, dphi.exprs))
     for j in range(k - 2):
@@ -242,16 +217,15 @@ def residual(gmap: GridMap, k: int, kind: str = "plain") -> np.ndarray:
     """Node-wise max-norm of  lap z - (F + linear corrections + tau_k source)
     with the grid Laplacian on the left; the source tau_k enters the top row
     only.  Exactly zero for harmonic maps and O(h^p) for analytic maps (p the
-    stencil order)."""
+    stencil order).  tau_k builds the order-k tower first, so z and the
+    right-hand side read its prefix."""
     if kind == "extended":
         raise ConfigurationError(
             "extended-kind residual is a two-map identity; use pair_difference_bound")
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown reduced-vector kind {kind!r}")
-    tower = _tower_for_reduction(gmap, k)
-    z = _reduced_from_tower(gmap, k, kind, tower)
-    rhs = _rhs_from_tower(gmap, k, kind, tower)
+    _require(gmap, k, kind)
     tau = tau_k(gmap, k).values
+    z = build_reduced(gmap, k, kind)
+    rhs = build_rhs(gmap, k, kind)
     source = tau[-1:] if kind == "equator" else tau
     out = np.zeros(gmap.grid_shape)
     top = len(z.blocks) - 1
@@ -345,8 +319,10 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
         raise ConfigurationError("pair bound needs maps with identical winding")
     gs = gmap.grid_shape
 
-    t1 = _tower_for_reduction(gmap, k)
-    t2 = _tower_for_reduction(gmap2, k)
+    z1 = build_reduced(gmap, k, "extended")
+    z2 = build_reduced(gmap2, k, "extended")
+    t1 = build_tower(gmap, k - 1)
+    t2 = build_tower(gmap2, k - 1)
     u1 = [s.values for s in t1.u]
     u2 = [s.values for s in t2.u]
     v1 = [s.values for s in t1.v]
@@ -377,24 +353,21 @@ def pair_difference_bound(gmap: GridMap, gmap2: GridMap, k: int,
     best4 = None
     for j in range(k - 2):
         lhs3 = _abs_block((u1[j + 1] - a1[j]) - (u2[j + 1] - a2[j]), gs)
-        den3 = phi_d + dphi_d + u_d[0] + u_d[j] + u_d[j + 1] + (v_d[j] if j <= k - 3 else du_top_d)
+        den3 = phi_d + dphi_d + u_d[0] + u_d[j] + u_d[j + 1] + v_d[j]
         rep3 = _sup_ratio(lhs3, den3, mask)
         best3 = rep3 if best3 is None or rep3.ratio > best3.ratio else best3
-        if j <= k - 3:
-            lhs4 = _abs_block(grid_partials(gmap, (u1[j + 1] - a1[j]) - (u2[j + 1] - a2[j])), gs)
-            den4 = (phi_d + dphi_d + sff_d + u_d[0] + v_d[0] + u_d[j] + v_d[j] + dv_d[j] + u_d[j + 1])
-            rep4 = _sup_ratio(lhs4, den4, mask)
-            best4 = rep4 if best4 is None or rep4.ratio > best4.ratio else best4
+        lhs4 = _abs_block(grid_partials(gmap, (u1[j + 1] - a1[j]) - (u2[j + 1] - a2[j])), gs)
+        den4 = (phi_d + dphi_d + sff_d + u_d[0] + v_d[0] + u_d[j] + v_d[j] + dv_d[j] + u_d[j + 1])
+        rep4 = _sup_ratio(lhs4, den4, mask)
+        best4 = rep4 if best4 is None or rep4.ratio > best4.ratio else best4
 
     # lemma 5: the top blocks
-    fk1 = fk_literal_values(gmap, k, u1, v1, top_a_term(gmap, t1).values)
-    fk2 = fk_literal_values(gmap2, k, u2, v2, top_a_term(gmap2, t2).values)
+    fk1 = fk_literal_values(gmap, k, u1, v1, top_a_term(gmap, k - 1).values)
+    fk2 = fk_literal_values(gmap2, k, u2, v2, top_a_term(gmap2, k - 1).values)
     den5 = phi_d + dphi_d + sum(u_d) + sum(v_d) + du_top_d
     r5 = _sup_ratio(_abs_block(fk1 - fk2, gs), den5, mask)
 
     # the full estimate on the extended reduced vector
-    z1 = _reduced_from_tower(gmap, k, "extended", t1)
-    z2 = _reduced_from_tower(gmap2, k, "extended", t2)
     dz = z1.stacked() - z2.stacked()
     num = np.max(np.abs(grid_laplacians(gmap, dz)), axis=0)
     den_full = phi_d + dphi_d + sff_d + sum(u_d) + sum(v_d) + sum(dv_d) + du_top_d
@@ -423,7 +396,7 @@ def equator_bound(gmap: GridMap, k: int, window) -> EquatorReport:
     and for test maps that are not k-harmonic the source carries more
     derivatives than the bracket controls.
     """
-    _equator_precheck(gmap)
+    _require(gmap, k, "equator")
     gs = gmap.grid_shape
     w_mask = window_mask(gs, window)
     f = gmap.values[-1] - np.pi / 2
@@ -431,13 +404,12 @@ def equator_bound(gmap: GridMap, k: int, window) -> EquatorReport:
     if max_f > 1e-12:
         raise ConfigurationError(
             f"window is not equatorial: max |phi^n - pi/2| on W is {max_f:.3e}")
-    tower = _tower_for_reduction(gmap, k)
-    z = _reduced_from_tower(gmap, k, "equator", tower)
+    z = build_reduced(gmap, k, "equator")
     block_max = {name: float(np.max(_abs_block(b, gs)[w_mask]))
                  for name, b in zip(z.names, z.blocks)}
     max_on_w = max(block_max.values())
 
-    rhs = _rhs_from_tower(gmap, k, "equator", tower)
+    rhs = build_rhs(gmap, k, "equator")
     num = np.zeros(gs)
     for fb, lin in zip(rhs.blocks, rhs.linear_corrections):
         num = np.maximum(num, _abs_block(fb + lin, gs))
@@ -450,6 +422,7 @@ def equator_bound(gmap: GridMap, k: int, window) -> EquatorReport:
     for name, b in zip(z.names, z.blocks):
         den += _abs_block(b, gs)
     den += sff_n
+    tower = build_tower(gmap, k - 1)
     for vg in tower.v[:k - 2]:
         den += _abs_block(section_partials(gmap, vg.values, vg.exprs)[-1], gs)
     top = tower.u[k - 2]

@@ -114,7 +114,7 @@ def energy_k(gmap: GridMap, k: int) -> EnergyReport:
         d1 = dphi_values(gmap)
         density = np.einsum("ij...,ab...,ai...,bj...->...", ginv, h, d1, d1)
     else:
-        s = k // 2 if k % 2 == 0 else (k - 1) // 2
+        s = k // 2
         top = tension(gmap) if s == 1 else build_tower(gmap, s).u[s - 1]
         if k % 2 == 0:
             density = np.einsum("ab...,a...,b...->...", h, top.values, top.values)

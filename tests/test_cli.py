@@ -584,6 +584,13 @@ _FLOW = {"command": "flow", "order": 2, "eval_mode": "grid_fd", "flow": {"dt": 1
     ("grid_shape", {"command": "tension", **CIRCLE_SPHERE, "grid_shape": [0]}),
     ("grid_shape", {"command": "tension", "grid_shape": [32], **TORUS_SPHERE}),
     ("window", {"command": "equator-check", "order": 3, "window": [[0.5, 10]], **CIRCLE_SPHERE}),
+    # an order below the command's own minimum
+    ("order", {"command": "tower", "order": 1, **CIRCLE_SPHERE}),
+    ("latitude.order", {"command": "latitude-search", "latitude": {"m": 2, "order": 1}}),
+    ("order", {"command": "reduce-residual", "order": 2, **CIRCLE_SPHERE}),
+    ("order", {"command": "aronszajn", "order": 2, **CIRCLE_SPHERE}),
+    ("order", {"command": "pair-bound", "order": 2, "map2": CIRCLE_SPHERE["map"], **CIRCLE_SPHERE}),
+    ("order", {"command": "equator-check", "order": 2, "window": [[0, 10]], **CIRCLE_SPHERE}),
 ])
 def test_malformed_value_exits_2_without_writing(tmp_path, capsys, key, spec):
     # each value is rejected up front, naming its key, and never truncated,

@@ -1,6 +1,9 @@
 """The tension tower, higher tension fields and the fourth-order curvature
 corrections, with every specialization cross-checked against an independent
 assembly route."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -132,23 +135,62 @@ def test_tower_richardson_estimate(dom_t1, tgt_s2):
     x = dom_t1.coords[0]
     gm = fl.GridMap.from_exprs(dom_t1, tgt_s2, (128,),
                                (x, sp.pi / 2 + sp.sin(x) / 3), eval_mode="grid_fd")
-    tower = pt.build_tower(gm, 2, richardson=True)
-    assert tower.richardson_error is not None and 0 < tower.richardson_error < 1e-2
+    error = pt.richardson_error(gm, 2)
+    assert error is not None and 0 < error < 1e-2
+    with pytest.raises(CapabilityError, match="grid_fd"):
+        pt.richardson_error(fl.GridMap.from_exprs(dom_t1, tgt_s2, (128,), (x, sp.pi / 2 + sp.sin(x) / 3)), 2)
 
 
 def test_richardson_estimate_reuses_the_fine_tower(dom_t1, tgt_s2, monkeypatch):
     x = dom_t1.coords[0]
     gm = fl.GridMap.from_exprs(dom_t1, tgt_s2, (128,),
                                (x, sp.pi / 2 + sp.sin(x) / 3), eval_mode="grid_fd")
-    build = pt._build_tower_fd
+    build = pt._tower_arrays
     built = []
-    monkeypatch.setattr(pt, "_build_tower_fd", lambda g, k: (built.append(g.grid_shape), build(g, k))[1])
-    tower = pt.build_tower(gm, 3, richardson=True)
+    monkeypatch.setattr(pt, "_tower_arrays", lambda g, k: (built.append(g.grid_shape), build(g, k))[1])
+    top_f = pt.build_tower(gm, 3).u[-1].values[:, ::2]
+    error = pt.richardson_error(gm, 3)
     assert built == [(128,), (64,)]
     coarse = gm.replace_values(gm.values[:, ::2])
-    top_f = build(gm, 3).u[-1].values[:, ::2]
-    want = float(np.max(np.abs(top_f - build(coarse, 3).u[-1].values)) / (2 ** gm.fd_order - 1))
-    assert tower.richardson_error == want
+    want = float(np.max(np.abs(top_f - build(coarse, 3)[0][-1])) / (2 ** gm.fd_order - 1))
+    assert error == want
+
+
+def _circle_map(dom, tgt, mode):
+    x = dom.coords[0]
+    return fl.GridMap.from_exprs(dom, tgt, (64,), (x, sp.pi / 2 + sp.sin(x) / 3), eval_mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["analytic_jet", "grid_fd"])
+def test_tower_memo_is_read_only_and_serves_lower_orders(dom_t1, tgt_s2, mode):
+    # the deepest tower is kept as read-only arrays; a higher order replaces
+    # it and a lower one reads its prefix
+    gm = _circle_map(dom_t1, tgt_s2, mode)
+    first = pt.build_tower(gm, 2)
+    deep = pt.build_tower(gm, 3)
+    memo = gm.__dict__["_memo_tower"]
+    assert len(memo[0]) == 3 and deep.u[1].values is not first.u[1].values
+    assert all(not x.flags.writeable for part in memo for x in part)
+    assert all(not s.values.flags.writeable for s in deep.u + deep.v + deep.a)
+    low = pt.build_tower(gm, 2)
+    pairs = list(zip(low.u, deep.u)) + list(zip(low.v, deep.v)) + list(zip(low.a, deep.a))
+    assert len(pairs) == 4 and all(p.values is q.values for p, q in pairs)
+
+
+@pytest.mark.parametrize("mode", ["analytic_jet", "grid_fd"])
+def test_tower_memo_holds_no_reference_to_its_map(dom_t1, tgt_s2, mode):
+    # a stored section would tie map -> tower -> section -> map into a cycle
+    # that only the cyclic collector frees
+    gm = _circle_map(dom_t1, tgt_s2, mode)
+    pt.tau_k(gm, 3)
+    assert "_memo_tower" in gm.__dict__
+    ref = weakref.ref(gm)
+    gc.disable()
+    try:
+        del gm
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_latitude_tower_matches_point_evaluator(map_latitude):

@@ -158,19 +158,42 @@ def test_pair_bound_finite_and_stable(pair_maps, dom_t1, tgt_s2):
         assert abs(r2.ratio - r1.ratio) <= 0.1 * r1.ratio, name
 
 
+def _count_constructions(monkeypatch):
+    """The maps whose tower is constructed, one entry per construction."""
+    built = []
+    construct = pt._tower_arrays
+    monkeypatch.setattr(pt, "_tower_arrays", lambda g, k: (built.append(g), construct(g, k))[1])
+    return built
+
+
 def test_pair_bound_builds_each_tower_once(pair_maps, monkeypatch):
-    # the extended reduced vectors reuse the towers the lemma rows read
-    calls = []
-    build = red.build_tower
-
-    def counted(gmap, k, *args, **kwargs):
-        calls.append(gmap)
-        return build(gmap, k, *args, **kwargs)
-
-    monkeypatch.setattr(red, "build_tower", counted)
-    g1, g2 = pair_maps
+    # the lemma rows, the top blocks and the extended reduced vectors read
+    # each map's one tower
+    built = _count_constructions(monkeypatch)
+    g1, g2 = (g.resample(g.grid_shape) for g in pair_maps)
     red.pair_difference_bound(g1, g2, 3)
-    assert len(calls) == 2 and calls[0] is g1 and calls[1] is g2
+    assert len(built) == 2 and built[0] is g1 and built[1] is g2
+
+
+@pytest.mark.parametrize("mode,route", [
+    ("grid_fd", "pair_bound"),  # analytic_jet: test_pair_bound_builds_each_tower_once
+    ("analytic_jet", "residual"), ("grid_fd", "residual"),
+    ("analytic_jet", "tau_k_then_literal"), ("grid_fd", "tau_k_then_literal"),
+])
+def test_each_map_constructs_its_tower_once(dom_t1, tgt_s2, monkeypatch, mode, route):
+    x = dom_t1.coords[0]
+    gm = fl.GridMap.from_exprs(dom_t1, tgt_s2, (64,), (x, sp.pi / 2 + sp.sin(x) / 3), eval_mode=mode)
+    gm2 = fl.GridMap.from_exprs(dom_t1, tgt_s2, (64,), (x, sp.pi / 2 + sp.cos(x) / 4), eval_mode=mode)
+    built = _count_constructions(monkeypatch)
+    if route == "pair_bound":
+        red.pair_difference_bound(gm, gm2, 3)
+    elif route == "residual":
+        red.residual(gm, 3, "equator")
+    else:
+        pt.tau_k(gm, 3)
+        pt.tau_k_literal(gm, 3)
+    want = [gm, gm2] if route == "pair_bound" else [gm]
+    assert list(map(id, built)) == list(map(id, want))
 
 
 def test_pair_window_equality(dom_t1, tgt_s2, map_window_equatorial):
